@@ -7,16 +7,6 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> compat shim gate (no in-tree callers of uwb_dsp::compat)"
-# The deprecated pre-context allocating wrappers exist only for
-# out-of-tree code. Every in-tree caller is migrated to the
-# DspContext/Detector API; any new `compat::` use outside crates/dsp
-# (where the module and its equivalence tests live) fails the gate.
-if git grep -nE 'uwb_dsp::compat|[^[:alnum:]_]compat::' -- '*.rs' ':!crates/dsp'; then
-    echo "compat gate FAILED: migrate the uses above off uwb_dsp::compat" >&2
-    exit 1
-fi
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

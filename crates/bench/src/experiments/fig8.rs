@@ -20,41 +20,43 @@ pub struct Fig8Report {
     pub recovered: usize,
 }
 
+/// The Fig. 8 deployment: nine responders spread over a ~12 m area (well
+/// within one slot's round-trip budget) on a spiral around the initiator
+/// at the origin, 4 RPM slots × 3 pulse shapes, free space.
+pub fn deployment() -> Deployment {
+    let scheme = CombinedScheme::new(SlotPlan::new(4).expect("4 slots"), 3).expect("3 shapes");
+    let responders: Vec<(Point2, u32)> = (0..9u32)
+        .map(|id| {
+            let angle = 0.7 * f64::from(id);
+            let radius = 3.0 + 0.9 * f64::from(id);
+            (Point2::new(radius * angle.cos(), radius * angle.sin()), id)
+        })
+        .collect();
+    Deployment {
+        initiator: Point2::new(0.0, 0.0),
+        responders,
+        scheme,
+        channel: ChannelModel::free_space(),
+    }
+}
+
 /// Runs the nine-responder combined round.
 ///
 /// # Panics
 ///
 /// Panics if the round fails to complete (a regression).
 pub fn run(seed: u64) -> Fig8Report {
-    let scheme = CombinedScheme::new(SlotPlan::new(4).expect("4 slots"), 3).expect("3 shapes");
-    // Nine responders spread over a ~12 m area (well within one slot's
-    // round-trip budget).
-    let positions: Vec<Point2> = (0..9)
-        .map(|i| {
-            let angle = 0.7 * i as f64;
-            let radius = 3.0 + 0.9 * i as f64;
-            Point2::new(radius * angle.cos(), radius * angle.sin())
-        })
-        .collect();
-    let responders: Vec<(Point2, u32)> = positions
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u32))
-        .collect();
-    let truth: Vec<(u32, usize, usize, f64)> = responders
+    let deployment = deployment();
+    let scheme = deployment.scheme.clone();
+    let truth: Vec<(u32, usize, usize, f64)> = deployment
+        .responders
         .iter()
         .map(|&(p, id)| {
             let a = scheme.assign(id).expect("id fits");
-            (id, a.slot, a.shape, p.distance_to(Point2::new(0.0, 0.0)))
+            (id, a.slot, a.shape, p.distance_to(deployment.initiator))
         })
         .collect();
 
-    let deployment = Deployment {
-        initiator: Point2::new(0.0, 0.0),
-        responders,
-        scheme: scheme.clone(),
-        channel: ChannelModel::free_space(),
-    };
     let config = ConcurrentConfig::new(scheme).with_mpc_guard();
     let outcomes = deployment.run(config, 1, seed);
     let outcome = outcomes.into_iter().next().expect("round must complete");

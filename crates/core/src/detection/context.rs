@@ -40,10 +40,11 @@ pub struct DetectorContext {
     pub(crate) dsp: DspContext,
     /// The upsampled CIR, iteratively reduced by subtraction.
     pub(crate) residual: Vec<Complex64>,
-    /// Matched-filter magnitudes of the template currently being scanned.
+    /// Matched-filter magnitudes of the current iteration, one buffer
+    /// per template of the bank (search-and-subtract).
+    pub(crate) mf_mags: Vec<Vec<f64>>,
+    /// Magnitudes of the upsampled CIR (threshold scan).
     pub(crate) mags: Vec<f64>,
-    /// Magnitudes of the best template seen this iteration.
-    pub(crate) best_mf: Vec<f64>,
     /// Refinement-window scores of the template currently being scanned.
     pub(crate) scores: Vec<f64>,
     /// Refinement-window scores of the best template seen so far.
@@ -73,8 +74,8 @@ impl DetectorContext {
         Self {
             dsp: DspContext::with_backend(backend),
             residual: Vec::new(),
+            mf_mags: Vec::new(),
             mags: Vec::new(),
-            best_mf: Vec::new(),
             scores: Vec::new(),
             best_scores: Vec::new(),
         }

@@ -12,7 +12,10 @@
 //! Both implement the [`Detector`] trait (`detect` / `detect_with` /
 //! `detect_batch`), and both dispatch their DSP kernels through the
 //! backend carried by the [`DetectorContext`] (`UWB_DSP_BACKEND`, or
-//! [`DetectorContext::with_backend`]).
+//! [`DetectorContext::with_backend`]). Both reject a CIR holding a NaN
+//! or infinite tap with [`crate::RangingError::NonFiniteCir`] before any
+//! DSP work: one such tap spreads through every transform and would
+//! otherwise silently erase the real pulses.
 
 mod context;
 mod detector;
@@ -30,7 +33,17 @@ pub use shape_scores::ShapeScores;
 pub use templates::{template_bank, DetectionTemplate};
 pub use threshold::{ThresholdConfig, ThresholdDetector};
 
+use crate::error::RangingError;
 use uwb_dsp::Complex64;
+use uwb_radio::Cir;
+
+/// Rejects a CIR with a non-finite tap, naming the first one.
+fn check_finite(cir: &Cir) -> Result<(), RangingError> {
+    match cir.taps().iter().position(|z| !z.is_finite()) {
+        Some(tap) => Err(RangingError::NonFiniteCir { tap }),
+        None => Ok(()),
+    }
+}
 
 /// One detected responder response: the `(α̂_k, τ_k)` pair of the paper,
 /// plus identification information.

@@ -185,6 +185,7 @@ impl SearchSubtractDetector {
     /// # Errors
     ///
     /// - [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// - [`RangingError::NonFiniteCir`] when a CIR tap is NaN or infinite.
     /// - [`RangingError::Dsp`] if the CIR cannot be upsampled (cannot occur
     ///   for valid [`Cir`] buffers).
     pub fn detect(&self, cir: &Cir, count: usize) -> Result<DetectionOutcome, RangingError> {
@@ -220,15 +221,16 @@ impl SearchSubtractDetector {
         if count == 0 {
             return Err(RangingError::NoResponsesRequested);
         }
+        crate::detection::check_finite(cir)?;
         uwb_obs::counter("detect.calls", 1);
         let sample_period_s = cir.sample_period_s() / self.config.upsample as f64;
         let DetectorContext {
             dsp,
             residual,
-            mags,
-            best_mf,
+            mf_mags,
             scores,
             best_scores,
+            ..
         } = ctx;
         let capture = self.config.capture_diagnostics;
 
@@ -243,21 +245,20 @@ impl SearchSubtractDetector {
         let mut responses = Vec::with_capacity(count);
         for iteration in 0..count {
             // Steps 2–3: matched filter per template; global maximum across
-            // shapes and delays marks the strongest path. The kernel fuses
-            // convolution and magnitudes so non-default backends never
-            // materialize complex output they would immediately collapse.
+            // shapes and delays marks the strongest path. One bank call
+            // per iteration: the kernel fuses convolution and magnitudes,
+            // and on the scalar backend transforms the residual once for
+            // every template.
+            dsp.matched_filter_bank_mags_into(&self.templates, residual, mf_mags)?;
+            if capture && iteration == 0 {
+                diagnostics.first_mf_magnitude = mf_mags.clone();
+            }
+            // The first template whose maximum is strictly greater wins.
             let mut best: Option<(usize, usize, f64)> = None; // (template, index, magnitude)
-            for (ti, template) in self.templates.iter().enumerate() {
-                dsp.matched_filter_mags_into(template.filter(), residual, mags)?;
-                if capture && iteration == 0 {
-                    diagnostics.first_mf_magnitude.push(mags.clone());
-                }
+            for (ti, mags) in mf_mags.iter().enumerate() {
                 if let Some((idx, val)) = uwb_dsp::argmax(mags) {
                     if best.is_none_or(|(_, _, b)| val > b) {
                         best = Some((ti, idx, val));
-                        // The winner's magnitudes park in `best_mf`; the
-                        // displaced buffer is recycled for the next template.
-                        std::mem::swap(mags, best_mf);
                     }
                 }
             }
@@ -270,7 +271,7 @@ impl SearchSubtractDetector {
 
             // Optional sub-sample refinement of the peak position.
             let idx_frac = if self.config.refine {
-                parabolic_interpolation(best_mf, idx)
+                parabolic_interpolation(&mf_mags[ti], idx)
             } else {
                 idx as f64
             };

@@ -213,6 +213,14 @@ impl DetectionTemplate {
     }
 }
 
+/// A template bank slice goes straight to
+/// [`uwb_dsp::Kernels::matched_filter_bank_mags_into`].
+impl AsRef<MatchedFilter> for DetectionTemplate {
+    fn as_ref(&self) -> &MatchedFilter {
+        &self.filter
+    }
+}
+
 /// Builds a bank of detection templates from register values.
 pub fn template_bank(
     registers: &[TcPgDelay],

@@ -101,7 +101,9 @@ impl ThresholdDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero
+    /// and [`RangingError::NonFiniteCir`] when a CIR tap is NaN or
+    /// infinite.
     pub fn detect(&self, cir: &Cir, count: usize) -> Result<Vec<DetectedResponse>, RangingError> {
         let mut ctx = DetectorContext::new();
         self.detect_with(&mut ctx, cir, count)
@@ -113,7 +115,7 @@ impl ThresholdDetector {
     ///
     /// # Errors
     ///
-    /// Returns [`RangingError::NoResponsesRequested`] when `count` is zero.
+    /// Same conditions as [`ThresholdDetector::detect`].
     pub fn detect_with(
         &self,
         ctx: &mut DetectorContext,
@@ -123,6 +125,7 @@ impl ThresholdDetector {
         if count == 0 {
             return Err(RangingError::NoResponsesRequested);
         }
+        crate::detection::check_finite(cir)?;
         let DetectorContext {
             dsp,
             residual: up,

@@ -52,6 +52,11 @@ pub enum RangingError {
         /// The rejected value.
         value: f64,
     },
+    /// A CIR handed to a detector holds a NaN or infinite tap.
+    NonFiniteCir {
+        /// Index of the first non-finite tap.
+        tap: usize,
+    },
     /// An underlying DSP failure (should not occur with validated inputs).
     Dsp(uwb_dsp::DspError),
     /// An underlying radio-model failure.
@@ -90,6 +95,7 @@ impl fmt::Display for RangingError {
             Self::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter `{name}` = {value}")
             }
+            Self::NonFiniteCir { tap } => write!(f, "CIR tap {tap} is not finite"),
             Self::Dsp(e) => write!(f, "dsp error: {e}"),
             Self::Radio(e) => write!(f, "radio error: {e}"),
             Self::Fault(e) => write!(f, "fault-plan error: {e}"),

@@ -1,17 +1,37 @@
 //! Property-based tests for the concurrent-ranging core: estimator math,
 //! slot/shape assignment, detection and aggregation invariants.
 
-use concurrent_ranging::detection::{SearchSubtractConfig, SearchSubtractDetector};
+use concurrent_ranging::detection::{
+    Detector, DetectorContext, SearchSubtractConfig, SearchSubtractDetector, ThresholdConfig,
+    ThresholdDetector,
+};
 use concurrent_ranging::{
     concurrent_distance_m, concurrent_distance_with_rpm_m, multilaterate, CombinedScheme,
-    RangeToAnchor, SlotPlan, TwrTimestamps,
+    RangeToAnchor, RangingError, SlotPlan, TwrTimestamps,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uwb_channel::{Arrival, CirSynthesizer, Point2};
-use uwb_dsp::Complex64;
-use uwb_radio::{meters_to_seconds, Channel, DeviceTime, Prf, PulseShape, RadioConfig, TcPgDelay};
+use uwb_dsp::{Complex64, DspBackend};
+use uwb_radio::{
+    meters_to_seconds, Channel, Cir, DeviceTime, Prf, PulseShape, RadioConfig, TcPgDelay,
+};
+
+/// Runs `detector` on `cir` under every DSP backend and returns the
+/// per-backend results, error variants included.
+fn on_every_backend<D: Detector>(
+    detector: &D,
+    cir: &Cir,
+    count: usize,
+) -> Vec<Result<D::Output, RangingError>> {
+    DspBackend::ALL
+        .into_iter()
+        .map(|backend| {
+            detector.detect_with(&mut DetectorContext::with_backend(backend), cir, count)
+        })
+        .collect()
+}
 
 proptest! {
     #[test]
@@ -111,6 +131,55 @@ proptest! {
         let offset = (slot as f64 - anchor_slot as f64) * plan.slot_spacing_s()
             + 2.0 * (d_k - d_anchor) / c;
         prop_assert_eq!(plan.decode_slot(offset, anchor_slot, d_anchor), Some(slot));
+    }
+
+    #[test]
+    fn detectors_reject_non_finite_taps(
+        seed in 0u64..500,
+        tap in 0usize..1016,
+        kind in 0usize..4,
+    ) {
+        // One NaN or infinite tap (in either component) next to a real
+        // pulse: both detectors must name it with a typed error on every
+        // backend instead of returning an empty detection.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pulse = PulseShape::from_config(&RadioConfig::default());
+        let arrivals = [Arrival {
+            delay_s: 100e-9,
+            amplitude: Complex64::from_polar(1.0, 0.3),
+            pulse,
+        }];
+        let mut cir = CirSynthesizer::new(Prf::Mhz64)
+            .with_noise_sigma(0.002)
+            .render(&arrivals, &mut rng);
+        let search_subtract = SearchSubtractDetector::from_registers(
+            &[TcPgDelay::DEFAULT],
+            Channel::Ch7,
+            SearchSubtractConfig::default(),
+        )
+        .unwrap();
+        let threshold = ThresholdDetector::new(ThresholdConfig::default()).unwrap();
+        for result in on_every_backend(&search_subtract, &cir, 1) {
+            prop_assert_eq!(result.unwrap().responses.len(), 1);
+        }
+        for result in on_every_backend(&threshold, &cir, 1) {
+            prop_assert_eq!(result.unwrap().len(), 1);
+        }
+
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN][kind];
+        let z = &mut cir.taps_mut()[tap];
+        if kind == 3 {
+            z.im = bad;
+        } else {
+            z.re = bad;
+        }
+        let expected = RangingError::NonFiniteCir { tap };
+        for result in on_every_backend(&search_subtract, &cir, 1) {
+            prop_assert_eq!(result.unwrap_err(), expected.clone());
+        }
+        for result in on_every_backend(&threshold, &cir, 1) {
+            prop_assert_eq!(result.unwrap_err(), expected.clone());
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! | Backend | Label | Contract |
 //! |---------|-------|----------|
-//! | [`DspBackend::ScalarF64`] | `f64` | bit-identical to the historical scalar complex-f64 path; the default |
-//! | [`DspBackend::RealFft`] | `rfft` | f64 precision, but real-input structure is exploited: matched-filter kernel spectra are cached (the template is real and never changes) and magnitudes use `sqrt(norm_sqr)` instead of `hypot` |
+//! | [`DspBackend::ScalarF64`] | `f64` | bit-identical to the historical scalar complex-f64 path; the default. A matched-filter bank transforms the signal once per transform length and multiplies by cached template spectra (the same transform a per-call convolution computes) |
+//! | [`DspBackend::RealFft`] | `rfft` | f64 precision, but real-input structure is exploited: real template spectra are built with the half-cost real FFT, the matched filter runs as overlap-save blocks, and magnitudes use `sqrt(norm_sqr)` instead of `hypot` |
 //! | [`DspBackend::F32`] | `f32` | the same kernel set in single precision; ~2⁻²⁴ relative rounding, far below the CIR noise floor of every paper scenario |
 //!
 //! The backend is a property of the [`crate::DspContext`]; detectors
@@ -26,9 +26,9 @@ pub enum DspBackend {
     /// pipeline and therefore the default.
     #[default]
     ScalarF64,
-    /// f64 kernels that exploit real-input structure: cached real-kernel
-    /// spectra for matched filters (one forward FFT saved per
-    /// convolution) and `sqrt(norm_sqr)` magnitudes.
+    /// f64 kernels that exploit real-input structure: real-FFT template
+    /// spectra, overlap-save matched filtering and `sqrt(norm_sqr)`
+    /// magnitudes.
     RealFft,
     /// Single-precision kernels: f32 FFT/convolution/upsampling with
     /// conversion at the `Complex64` API boundary.

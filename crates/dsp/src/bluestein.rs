@@ -11,11 +11,15 @@ use crate::error::DspError;
 use crate::fft::{next_power_of_two, Direction, FftPlan};
 use crate::plan::DspScratch;
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// A reusable arbitrary-length FFT plan based on Bluestein's algorithm.
 ///
 /// For power-of-two sizes this delegates directly to [`FftPlan`], so it can
-/// be used as a universal planner.
+/// be used as a universal planner. The radix-2 plan inside is held by
+/// [`Arc`]: a [`crate::PlanCache`] hands its own cached plan of that
+/// length to every Bluestein plan it builds, so a context keeps one copy
+/// of each radix-2 twiddle table.
 ///
 /// # Examples
 ///
@@ -39,12 +43,12 @@ pub struct BluesteinPlan {
 #[derive(Debug, Clone)]
 enum Inner {
     /// Power-of-two fast path.
-    Radix2(FftPlan),
+    Radix2(Arc<FftPlan>),
     /// General case.
     Chirp {
         /// Length of the embedded circular convolution (power of two).
         conv_len: usize,
-        plan: FftPlan,
+        plan: Arc<FftPlan>,
         /// Chirp `w[n] = e^{-iπ n²/N}` for `n in 0..N`.
         chirp: Vec<Complex64>,
         /// FFT of the zero-padded conjugate-chirp kernel.
@@ -59,17 +63,27 @@ impl BluesteinPlan {
     ///
     /// Returns [`DspError::EmptyInput`] when `size` is zero.
     pub fn new(size: usize) -> Result<Self, DspError> {
+        Self::with_radix2(size, |len| FftPlan::new(len).map(Arc::new))
+    }
+
+    /// [`BluesteinPlan::new`] taking its inner radix-2 plan from
+    /// `radix2` (called once, with the power-of-two length it needs)
+    /// instead of building a private copy.
+    pub(crate) fn with_radix2(
+        size: usize,
+        radix2: impl FnOnce(usize) -> Result<Arc<FftPlan>, DspError>,
+    ) -> Result<Self, DspError> {
         if size == 0 {
             return Err(DspError::EmptyInput);
         }
         if size.is_power_of_two() {
             return Ok(Self {
                 size,
-                inner: Inner::Radix2(FftPlan::new(size)?),
+                inner: Inner::Radix2(radix2(size)?),
             });
         }
         let conv_len = next_power_of_two(2 * size - 1);
-        let plan = FftPlan::new(conv_len)?;
+        let plan = radix2(conv_len)?;
         // w[n] = e^{-iπ n²/N}; compute n² mod 2N to avoid precision loss for
         // large n (the chirp phase is periodic with period 2N in n²).
         let chirp: Vec<Complex64> = (0..size)
@@ -103,6 +117,15 @@ impl BluesteinPlan {
     /// The transform length this plan was built for.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// The radix-2 plan the transform runs on: the plan itself for
+    /// power-of-two sizes, else the embedded circular convolution's.
+    #[cfg(test)]
+    pub(crate) fn radix2_plan(&self) -> &Arc<FftPlan> {
+        match &self.inner {
+            Inner::Radix2(plan) | Inner::Chirp { plan, .. } => plan,
+        }
     }
 
     /// In-place forward DFT.

@@ -7,16 +7,21 @@
 //! [`DspContext`] implements the trait by dispatching on its
 //! [`DspBackend`] selection:
 //!
-//! - [`DspBackend::ScalarF64`] routes to the historical planned f64
-//!   kernels — outputs are **bit-identical** to the pre-redesign
-//!   pipeline, which the campaign determinism contract relies on.
-//! - [`DspBackend::RealFft`] keeps f64 arithmetic but caches the
-//!   forward spectra of matched-filter kernels (built through the
-//!   half-cost real-input FFT when the template is real), removing one
-//!   of the three transforms from every FFT-path matched filter.
+//! - [`DspBackend::ScalarF64`] runs the historical planned f64
+//!   arithmetic — outputs are **bit-identical** to the pre-redesign
+//!   pipeline, which the campaign determinism contract relies on. Its
+//!   matched-filter bank forward-transforms the signal once per
+//!   transform length and takes each template's forward spectrum from
+//!   the context's cache, so a bank of `T` templates costs `1 + T`
+//!   transforms instead of `3·T`; the cached spectrum is the exact
+//!   transform a per-call convolution would compute, so every output
+//!   bit stays the same.
+//! - [`DspBackend::RealFft`] keeps f64 arithmetic but builds the cached
+//!   kernel spectra through the half-cost real-input FFT and runs the
+//!   matched filter as overlap-save blocks at a cost-optimal length.
 //! - [`DspBackend::F32`] runs the transforms in single precision —
-//!   half the memory traffic through the 16384-point convolution FFTs —
-//!   while keeping the [`Complex64`] API boundary.
+//!   half the memory traffic through the convolution FFTs — while
+//!   keeping the [`Complex64`] API boundary.
 //!
 //! Small shapes take the direct convolution path on *every* backend
 //! (same [`fft_wins`] branch), so backends differ only where the FFT
@@ -114,6 +119,24 @@ pub trait Kernels {
         mags: &mut Vec<f64>,
     ) -> Result<(), DspError>;
 
+    /// Signal-aligned matched-filter magnitudes for a whole template
+    /// bank: `out[t]` receives what [`Kernels::matched_filter_mags_into`]
+    /// would write for `filters[t]` (`out` is resized to the bank size).
+    /// This is the per-iteration call of search-and-subtract. On the
+    /// scalar backend the signal is forward-transformed once per
+    /// transform length for the whole bank; the other backends run
+    /// their per-filter path for each template.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::EmptyInput`] for an empty signal.
+    fn matched_filter_bank_mags_into<F: AsRef<MatchedFilter>>(
+        &mut self,
+        filters: &[F],
+        signal: &[Complex64],
+        out: &mut Vec<Vec<f64>>,
+    ) -> Result<(), DspError>;
+
     /// Element magnitudes of `signal`, written into `out` (cleared
     /// first).
     fn magnitudes_into(&mut self, signal: &[Complex64], out: &mut Vec<f64>);
@@ -136,6 +159,23 @@ pub trait Kernels {
 enum MfSink<'a> {
     Complex(&'a mut Vec<Complex64>),
     Mags(&'a mut Vec<f64>),
+}
+
+impl MfSink<'_> {
+    /// Replaces the sink's contents with `window`, or with its
+    /// magnitudes as `magnitude` computes them.
+    fn fill(&mut self, window: &[Complex64], magnitude: impl Fn(Complex64) -> f64) {
+        match self {
+            MfSink::Complex(out) => {
+                out.clear();
+                out.extend_from_slice(window);
+            }
+            MfSink::Mags(mags) => {
+                mags.clear();
+                mags.extend(window.iter().map(|&z| magnitude(z)));
+            }
+        }
+    }
 }
 
 /// Overlap-save FFT length for a linear convolution of `out_len` total
@@ -167,32 +207,40 @@ fn overlap_save_len(out_len: usize, kernel_len: usize) -> usize {
 
 impl DspContext {
     /// The cached f64 forward spectrum of `filter`'s impulse response,
-    /// zero-padded to transform length `k`. Built once per
-    /// `(kernel, k)` pair — through the half-cost real FFT when the
-    /// template is purely real — then shared via [`Arc`]. Cache fills
-    /// use the unprofiled transform paths so work counters stay
-    /// invariant to how many workers warmed their caches.
+    /// zero-padded to transform length `k`, as `backend` builds it:
+    /// through the half-cost real FFT on [`DspBackend::RealFft`] when
+    /// the template is purely real, else through the radix-2 complex
+    /// transform [`convolve_into`] applies to the padded kernel (so the
+    /// scalar path multiplies by the very spectrum it would have
+    /// computed per call). Built once per `(backend, kernel, k)` and
+    /// shared via [`Arc`]. Cache fills use the unprofiled transform
+    /// paths so work counters stay invariant to how many workers warmed
+    /// their caches.
     fn kernel_spectrum_f64(
         &mut self,
         filter: &MatchedFilter,
         k: usize,
+        backend: DspBackend,
     ) -> Result<Arc<Vec<Complex64>>, DspError> {
-        let key = (filter.kernel_id(), k);
+        let key = (backend, filter.kernel_id(), k);
         if let Some(spectrum) = self.kernel_spectra.get(&key) {
             return Ok(Arc::clone(spectrum));
         }
         let mut spectrum;
-        if let Some(real) = filter.reversed_real() {
-            let plan = self.plans.rfft(k)?;
-            let mut padded = vec![0.0f64; k];
-            padded[..real.len()].copy_from_slice(real);
-            spectrum = Vec::new();
-            plan.forward_into_unprofiled(&padded, &mut spectrum, &mut self.scratch);
-        } else {
-            let plan = self.plans.radix2(k)?;
-            spectrum = vec![Complex64::ZERO; k];
-            spectrum[..filter.reversed().len()].copy_from_slice(filter.reversed());
-            plan.transform_unprofiled(&mut spectrum, Direction::Forward);
+        match filter.reversed_real() {
+            Some(real) if backend == DspBackend::RealFft => {
+                let plan = self.plans.rfft(k)?;
+                let mut padded = vec![0.0f64; k];
+                padded[..real.len()].copy_from_slice(real);
+                spectrum = Vec::new();
+                plan.forward_into_unprofiled(&padded, &mut spectrum, &mut self.scratch);
+            }
+            _ => {
+                let plan = self.plans.radix2(k)?;
+                spectrum = vec![Complex64::ZERO; k];
+                spectrum[..filter.reversed().len()].copy_from_slice(filter.reversed());
+                plan.transform_unprofiled(&mut spectrum, Direction::Forward);
+            }
         }
         let spectrum = Arc::new(spectrum);
         self.kernel_spectra.insert(key, Arc::clone(&spectrum));
@@ -221,43 +269,106 @@ impl DspContext {
         Ok(spectrum)
     }
 
-    /// Shared matched-filter dispatch: runs the convolution on the
-    /// selected backend and extracts either the complex signal-aligned
-    /// window or its magnitudes.
-    fn mf_dispatch(
+    /// The scalar f64 matched filter over a bank of templates: `emit(t,
+    /// window)` receives the signal-aligned complex output of
+    /// `filters[t]`. This is the one scalar implementation; the
+    /// single-filter entry points run it as a bank of one.
+    ///
+    /// Direct-path shapes run the direct convolution. For the FFT-path
+    /// shapes the zero-padded signal is forward-transformed once per
+    /// transform length; each template then writes the product of that
+    /// spectrum and its cached spectrum (in [`convolve_into`]'s operand
+    /// order) into a working buffer and pays one inverse transform. Outputs are bit-identical
+    /// to a per-filter [`convolve_into`]; work counters record the same
+    /// `conv.mac` ops per filter and `1 + T` transforms per length.
+    pub(crate) fn scalar_mf_bank<F: AsRef<MatchedFilter>>(
         &mut self,
-        filter: &MatchedFilter,
+        filters: &[F],
         signal: &[Complex64],
-        sink: MfSink<'_>,
+        mut emit: impl FnMut(usize, &[Complex64]),
     ) -> Result<(), DspError> {
         if signal.is_empty() {
             return Err(DspError::EmptyInput);
         }
+        let fft_len = |filter: &F| {
+            let taps = filter.as_ref().len();
+            fft_wins(signal.len(), taps).then(|| next_power_of_two(signal.len() + taps - 1))
+        };
+        for (t, filter) in filters.iter().enumerate() {
+            let Some(n) = fft_len(filter) else {
+                let filter = filter.as_ref();
+                let start = filter.len() - 1;
+                let mut full = self.scratch.acquire();
+                convolve_into(signal, filter.reversed(), &mut full, self)?;
+                emit(t, &full[start..start + signal.len()]);
+                self.scratch.release(full);
+                continue;
+            };
+            // The first template of each transform length serves every
+            // template of that length.
+            if filters[..t]
+                .iter()
+                .any(|earlier| fft_len(earlier) == Some(n))
+            {
+                continue;
+            }
+            let plan = self.plans.radix2(n)?;
+            let mut signal_spectrum = self.scratch.acquire_zeroed(n);
+            signal_spectrum[..signal.len()].copy_from_slice(signal);
+            plan.forward(&mut signal_spectrum);
+            for (u, member) in filters.iter().enumerate().skip(t) {
+                if fft_len(member) != Some(n) {
+                    continue;
+                }
+                let member = member.as_ref();
+                // Pointwise spectrum product, as convolve_into counts it.
+                uwb_obs::profile::work("conv.mac", n as u64);
+                let kernel = self.kernel_spectrum_f64(member, n, DspBackend::ScalarF64)?;
+                let mut buf = self.scratch.acquire();
+                buf.extend(
+                    signal_spectrum
+                        .iter()
+                        .zip(kernel.iter())
+                        .map(|(x, y)| *x * *y),
+                );
+                plan.inverse(&mut buf);
+                let start = member.len() - 1;
+                emit(u, &buf[start..start + signal.len()]);
+                self.scratch.release(buf);
+            }
+            self.scratch.release(signal_spectrum);
+        }
+        Ok(())
+    }
+
+    /// Single-filter matched-filter dispatch: runs the convolution on
+    /// the selected backend and extracts either the complex
+    /// signal-aligned window or its magnitudes.
+    fn mf_dispatch(
+        &mut self,
+        filter: &MatchedFilter,
+        signal: &[Complex64],
+        mut sink: MfSink<'_>,
+    ) -> Result<(), DspError> {
+        if signal.is_empty() {
+            return Err(DspError::EmptyInput);
+        }
+        let backend = self.backend();
+        if backend == DspBackend::ScalarF64 {
+            // Historical path: hypot-based |z|.
+            return self.scalar_mf_bank(std::slice::from_ref(filter), signal, |_, window| {
+                sink.fill(window, Complex64::abs);
+            });
+        }
         let kernel_len = filter.len();
         let start = kernel_len - 1;
-        let backend = self.backend();
 
-        // The scalar backend always takes the historical f64 path
-        // (bit-identical contract); the others join it for small shapes
-        // where the direct convolution wins anyway.
-        if backend == DspBackend::ScalarF64 || !fft_wins(signal.len(), kernel_len) {
+        // Small shapes take the direct convolution, as on the scalar
+        // backend.
+        if !fft_wins(signal.len(), kernel_len) {
             let mut full = self.scratch.acquire();
             convolve_into(signal, filter.reversed(), &mut full, self)?;
-            let window = &full[start..start + signal.len()];
-            match sink {
-                MfSink::Complex(out) => {
-                    out.clear();
-                    out.extend_from_slice(window);
-                }
-                MfSink::Mags(mags) => {
-                    mags.clear();
-                    if backend == DspBackend::ScalarF64 {
-                        mags.extend(window.iter().map(|z| z.abs()));
-                    } else {
-                        mags.extend(window.iter().map(|z| z.norm_sqr().sqrt()));
-                    }
-                }
-            }
+            sink.fill(&full[start..start + signal.len()], |z| z.norm_sqr().sqrt());
             self.scratch.release(full);
             return Ok(());
         }
@@ -271,7 +382,6 @@ impl DspContext {
         // `step` signal-aligned outputs per block.
         let k = overlap_save_len(signal.len() + kernel_len - 1, kernel_len);
         let step = k - start;
-        let mut sink = sink;
         match &mut sink {
             MfSink::Complex(out) => {
                 out.clear();
@@ -284,7 +394,7 @@ impl DspContext {
         }
         match backend {
             DspBackend::RealFft => {
-                let spectrum = self.kernel_spectrum_f64(filter, k)?;
+                let spectrum = self.kernel_spectrum_f64(filter, k, DspBackend::RealFft)?;
                 let plan = self.plans.radix2(k)?;
                 let mut buf = self.scratch.acquire();
                 let mut produced = 0usize;
@@ -345,7 +455,7 @@ impl DspContext {
                 }
                 self.fp32.scratch.release(buf);
             }
-            DspBackend::ScalarF64 => unreachable!("scalar handled above"),
+            DspBackend::ScalarF64 => unreachable!("scalar runs as a bank of one above"),
         }
         Ok(())
     }
@@ -407,6 +517,27 @@ impl Kernels for DspContext {
         mags: &mut Vec<f64>,
     ) -> Result<(), DspError> {
         self.mf_dispatch(filter, signal, MfSink::Mags(mags))
+    }
+
+    fn matched_filter_bank_mags_into<F: AsRef<MatchedFilter>>(
+        &mut self,
+        filters: &[F],
+        signal: &[Complex64],
+        out: &mut Vec<Vec<f64>>,
+    ) -> Result<(), DspError> {
+        if signal.is_empty() {
+            return Err(DspError::EmptyInput);
+        }
+        out.resize_with(filters.len(), Vec::new);
+        if self.backend() == DspBackend::ScalarF64 {
+            return self.scalar_mf_bank(filters, signal, |t, window| {
+                MfSink::Mags(&mut out[t]).fill(window, Complex64::abs);
+            });
+        }
+        for (filter, mags) in filters.iter().zip(out.iter_mut()) {
+            self.mf_dispatch(filter.as_ref(), signal, MfSink::Mags(mags))?;
+        }
+        Ok(())
     }
 
     fn magnitudes_into(&mut self, signal: &[Complex64], out: &mut Vec<f64>) {

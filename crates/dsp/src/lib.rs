@@ -16,17 +16,17 @@
 //!   plans and recycles working buffers so the `*_into` entry points run
 //!   allocation-free in steady state.
 //! - [`Kernels`] / [`DspBackend`]: the backend-generic kernel set — a
-//!   [`DspContext`] dispatches upsampling, matched filtering and batched
-//!   correlation scoring to the bit-identical scalar f64 kernels
-//!   (default), the cached real-FFT kernel-spectrum path
-//!   ([`DspBackend::RealFft`]), or the single-precision set
-//!   ([`DspBackend::F32`]). Selected via [`DspContext::with_backend`] or
-//!   the `UWB_DSP_BACKEND` environment knob.
+//!   [`DspContext`] dispatches upsampling, matched filtering (single
+//!   filters and whole template banks) and batched correlation scoring
+//!   to the bit-identical scalar f64 kernels (default), the real-FFT
+//!   overlap-save path ([`DspBackend::RealFft`]), or the
+//!   single-precision set ([`DspBackend::F32`]). Every backend caches
+//!   the forward spectra of matched-filter templates. Selected via
+//!   [`DspContext::with_backend`] or the `UWB_DSP_BACKEND` environment
+//!   knob.
 //! - [`RealFftPlan`]: half-cost FFT for real input (pack-two-reals).
 //! - [`peaks`]: maxima, noise floor and sub-sample refinement utilities.
 //! - [`stats`]: summary statistics used by the evaluation harness.
-//! - [`compat`]: the pre-plan-cache allocating signatures, kept as thin
-//!   wrappers for unmigrated callers.
 //!
 //! # Examples
 //!
@@ -54,7 +54,6 @@
 
 mod backend;
 mod bluestein;
-pub mod compat;
 mod complex;
 mod convolution;
 mod error;

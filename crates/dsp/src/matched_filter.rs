@@ -9,7 +9,7 @@
 //! indices directly interpretable as template start positions.
 
 use crate::complex::Complex64;
-use crate::convolution::{convolve, convolve_into};
+use crate::convolution::convolve;
 use crate::error::DspError;
 use crate::plan::DspContext;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -161,9 +161,11 @@ impl MatchedFilter {
     }
 
     /// Planned variant of [`MatchedFilter::apply`]: writes the
-    /// signal-aligned output into `out`, drawing plans and working
-    /// buffers from `ctx`. Bit-identical to `apply`; in steady state the
-    /// call allocates nothing.
+    /// signal-aligned output into `out`, drawing plans, working buffers
+    /// and this filter's cached kernel spectrum from `ctx`. Runs the
+    /// scalar f64 matched filter whatever `ctx`'s backend, so it is
+    /// bit-identical to `apply`; in steady state the call allocates
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -174,16 +176,10 @@ impl MatchedFilter {
         out: &mut Vec<Complex64>,
         ctx: &mut DspContext,
     ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        let mut full = ctx.scratch.acquire();
-        convolve_into(signal, &self.reversed, &mut full, ctx)?;
-        let start = self.template.len() - 1;
-        out.clear();
-        out.extend_from_slice(&full[start..start + signal.len()]);
-        ctx.scratch.release(full);
-        Ok(())
+        ctx.scalar_mf_bank(std::slice::from_ref(self), signal, |_, window| {
+            out.clear();
+            out.extend_from_slice(window);
+        })
     }
 
     /// Planned variant of [`MatchedFilter::apply_normalized`]: writes
@@ -198,21 +194,11 @@ impl MatchedFilter {
         out: &mut Vec<f64>,
         ctx: &mut DspContext,
     ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput);
-        }
-        let mut full = ctx.scratch.acquire();
-        convolve_into(signal, &self.reversed, &mut full, ctx)?;
-        let start = self.template.len() - 1;
         let scale = 1.0 / self.energy;
-        out.clear();
-        out.extend(
-            full[start..start + signal.len()]
-                .iter()
-                .map(|z| z.abs() * scale),
-        );
-        ctx.scratch.release(full);
-        Ok(())
+        ctx.scalar_mf_bank(std::slice::from_ref(self), signal, |_, window| {
+            out.clear();
+            out.extend(window.iter().map(|z| z.abs() * scale));
+        })
     }
 
     /// Applies the filter and returns output magnitudes, normalized by the
@@ -226,6 +212,15 @@ impl MatchedFilter {
         let out = self.apply(signal)?;
         let scale = 1.0 / self.energy;
         Ok(out.iter().map(|z| z.abs() * scale).collect())
+    }
+}
+
+/// Lets a bank of filters be passed as `&[MatchedFilter]`,
+/// `&[&MatchedFilter]`, or any slice of types that hold one (see
+/// [`crate::Kernels::matched_filter_bank_mags_into`]).
+impl AsRef<MatchedFilter> for MatchedFilter {
+    fn as_ref(&self) -> &MatchedFilter {
+        self
     }
 }
 

@@ -81,7 +81,9 @@ impl PlanCache {
     }
 
     /// The arbitrary-length (Bluestein) plan for `size`, building and
-    /// caching it on first use.
+    /// caching it on first use. Its inner radix-2 plan is this cache's
+    /// own plan of that length (built and cached too if missing), so
+    /// the Bluestein and matched-filter paths share one twiddle table.
     ///
     /// # Errors
     ///
@@ -90,7 +92,7 @@ impl PlanCache {
         if let Some(plan) = self.bluestein.get(&size) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(BluesteinPlan::new(size)?);
+        let plan = Arc::new(BluesteinPlan::with_radix2(size, |len| self.radix2(len))?);
         self.bluestein.insert(size, Arc::clone(&plan));
         Ok(plan)
     }
@@ -182,10 +184,12 @@ impl DspScratch {
 ///
 /// Since the multi-backend redesign a context also carries its
 /// [`DspBackend`] selection and the backend-specific state: f32 plans
-/// and scratch for [`DspBackend::F32`], and matched-filter kernel
-/// spectrum caches for the [`DspBackend::RealFft`] and f32 paths. The
-/// default remains [`DspBackend::ScalarF64`], whose kernels are
-/// bit-identical to the historical pipeline.
+/// and scratch for [`DspBackend::F32`], and the forward spectra of
+/// matched-filter kernels for every backend's FFT path. The default
+/// remains [`DspBackend::ScalarF64`], whose kernels are bit-identical
+/// to the historical pipeline: its cached spectra come from the same
+/// radix-2 transform the per-call convolution runs, so caching changes
+/// how often a template is transformed, never the result.
 #[derive(Debug, Default)]
 pub struct DspContext {
     /// Cached FFT plans.
@@ -197,9 +201,14 @@ pub struct DspContext {
     /// Single-precision plans and scratch (populated only by the f32
     /// backend).
     pub(crate) fp32: Fp32Engine,
-    /// Cached forward spectra of matched-filter kernels, keyed by
-    /// `(kernel_id, transform_len)`.
-    pub(crate) kernel_spectra: HashMap<(u64, usize), Arc<Vec<Complex64>>>,
+    /// Cached f64 forward spectra of matched-filter kernels, keyed by
+    /// `(backend, kernel_id, transform_len)`. The backend is part of
+    /// the key because the scalar and real-FFT paths build a template's
+    /// spectrum through different transforms (equal only up to
+    /// rounding), and neither may ever serve the other. Entries live as
+    /// long as the context (one transform-length spectrum per template),
+    /// so a context is meant to serve a fixed template bank.
+    pub(crate) kernel_spectra: HashMap<(DspBackend, u64, usize), Arc<Vec<Complex64>>>,
     /// Single-precision kernel spectra for the f32 backend.
     pub(crate) kernel_spectra32: HashMap<(u64, usize), Arc<Vec<Complex32>>>,
 }
@@ -235,7 +244,9 @@ impl DspContext {
     }
 
     /// Switches the backend. Cached plans, scratch, and kernel spectra
-    /// are retained — they are keyed by size/kernel, not by backend.
+    /// are retained: plans and scratch are keyed by size alone and are
+    /// backend-neutral, while kernel spectra are keyed by backend, so a
+    /// switch never serves one backend's spectra to another.
     pub fn set_backend(&mut self, backend: DspBackend) {
         self.backend = backend;
     }
@@ -255,7 +266,12 @@ mod tests {
         let c = cache.bluestein(1016).unwrap();
         let d = cache.bluestein(1016).unwrap();
         assert!(Arc::ptr_eq(&c, &d));
-        assert_eq!(cache.len(), 2);
+        // The Bluestein 1016 plan registers the radix-2 2048 plan its
+        // circular convolution runs on, and holds that very plan.
+        assert_eq!(cache.len(), 3);
+        let inner = cache.radix2(2048).unwrap();
+        assert!(Arc::ptr_eq(c.radix2_plan(), &inner));
+        assert_eq!(cache.len(), 3);
         assert!(!cache.is_empty());
     }
 

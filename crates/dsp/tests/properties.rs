@@ -3,8 +3,9 @@
 use proptest::prelude::*;
 use uwb_dsp::{
     convolve, convolve_into, correlate, correlate_into, dft_reference, fft, fractional_delay, ifft,
-    noise_floor, parabolic_interpolation, stats, upsample_fft, upsample_fft_into, BluesteinPlan,
-    Complex64, Direction, DspContext, MatchedFilter,
+    next_power_of_two, noise_floor, parabolic_interpolation, stats, upsample_fft,
+    upsample_fft_into, BluesteinPlan, Complex64, Direction, DspBackend, DspContext, Kernels,
+    MatchedFilter,
 };
 
 fn complex_vec(
@@ -14,6 +15,30 @@ fn complex_vec(
         (-100.0f64..100.0, -100.0f64..100.0).prop_map(|(re, im)| Complex64::new(re, im)),
         len,
     )
+}
+
+/// The historical scalar matched filter, one template at a time: a
+/// full `convolve_into` (signal transform, kernel transform, inverse)
+/// and the `hypot` magnitudes of the signal-aligned window.
+fn per_filter_mags(filter: &MatchedFilter, signal: &[Complex64]) -> Vec<f64> {
+    let mut full = Vec::new();
+    convolve_into(signal, filter.reversed(), &mut full, &mut DspContext::new()).unwrap();
+    let start = filter.len() - 1;
+    full[start..start + signal.len()]
+        .iter()
+        .map(|z| z.abs())
+        .collect()
+}
+
+/// A real pulse-like template of `len` taps.
+fn real_template(len: usize, width: f64) -> MatchedFilter {
+    let taps: Vec<f64> = (0..len)
+        .map(|i| {
+            let t = (i as f64 - len as f64 / 2.0) / width;
+            (-t * t).exp() * (1.0 + 0.3 * (i as f64 * 0.7).sin())
+        })
+        .collect();
+    MatchedFilter::from_real(&taps).unwrap()
 }
 
 fn max_abs_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
@@ -236,6 +261,131 @@ proptest! {
         let mut mags = Vec::new();
         filter.apply_normalized_into(&signal, &mut mags, &mut ctx).unwrap();
         prop_assert_eq!(&mags, &filter.apply_normalized(&signal).unwrap());
+    }
+
+    // --- matched-filter bank ----------------------------------------------
+    //
+    // The scalar bank transforms the signal once per transform length and
+    // multiplies by cached template spectra; every magnitude must still
+    // equal the per-filter convolve_into path bit for bit.
+
+    #[test]
+    fn scalar_bank_is_bit_identical_to_per_filter_convolution(
+        signal in complex_vec(950..1000),
+        short in complex_vec(1..8),
+        medium_a in complex_vec(100..120),
+        medium_b in complex_vec(100..120),
+        long in complex_vec(1200..1400),
+    ) {
+        // Direct path (short), FFT path at 2048 points shared by the two
+        // medium templates, FFT path at 4096 points (long).
+        let bank: Vec<MatchedFilter> = [&medium_a, &short, &long, &medium_b]
+            .into_iter()
+            .map(|t| MatchedFilter::new(t).unwrap())
+            .collect();
+        let fft_len = |t: &[Complex64]| next_power_of_two(signal.len() + t.len() - 1);
+        prop_assert_eq!(fft_len(&medium_a), 2048);
+        prop_assert_eq!(fft_len(&medium_b), 2048);
+        prop_assert_eq!(fft_len(&long), 4096);
+        let mut ctx = DspContext::new();
+        let mut out = Vec::new();
+        for pass in 0..2 {
+            ctx.matched_filter_bank_mags_into(&bank, &signal, &mut out).unwrap();
+            prop_assert_eq!(out.len(), bank.len());
+            for (t, filter) in bank.iter().enumerate() {
+                prop_assert_eq!(&out[t], &per_filter_mags(filter, &signal), "template {} pass {}", t, pass);
+            }
+        }
+        // The single-filter entry point is a bank of one.
+        let mut single = Vec::new();
+        for (t, filter) in bank.iter().enumerate() {
+            ctx.matched_filter_mags_into(filter, &signal, &mut single).unwrap();
+            prop_assert_eq!(&single, &out[t]);
+        }
+    }
+
+    #[test]
+    fn backend_switch_never_serves_foreign_spectra(
+        signal in complex_vec(950..1000),
+        width in 20.0f64..80.0,
+        len in 600usize..700,
+    ) {
+        // Real templates: the real-FFT backend caches spectra built by
+        // the half-cost real transform, which differ from the scalar
+        // path's spectra in the last bits. At these shapes its
+        // overlap-save block is the full 2048-point transform, the very
+        // length the scalar path caches at.
+        let bank = [real_template(len, width), real_template(len + 37, width * 1.3)];
+        let mut ctx = DspContext::with_backend(DspBackend::RealFft);
+        let mut warm = Vec::new();
+        ctx.matched_filter_bank_mags_into(&bank, &signal, &mut warm).unwrap();
+        ctx.set_backend(DspBackend::ScalarF64);
+        let mut out = Vec::new();
+        ctx.matched_filter_bank_mags_into(&bank, &signal, &mut out).unwrap();
+        for (t, filter) in bank.iter().enumerate() {
+            prop_assert_eq!(&out[t], &per_filter_mags(filter, &signal), "template {}", t);
+        }
+    }
+}
+
+/// A bank of `T` FFT-path templates costs one signal transform per
+/// distinct transform length plus one inverse per template — and the
+/// cache fills that build the template spectra count nothing, cold or
+/// warm. The only test in this binary that touches the (process-global)
+/// profiler switch.
+#[test]
+fn scalar_bank_records_one_plus_t_transforms_per_length() {
+    let signal: Vec<Complex64> = (0..1000)
+        .map(|i| Complex64::new((i as f64 * 0.031).sin(), (i as f64 * 0.17).cos()))
+        .collect();
+    // Lengths 2048 (three templates), 4096 (one), plus one direct shape.
+    let bank = [
+        real_template(150, 10.0),
+        real_template(4, 1.0),
+        real_template(170, 12.0),
+        real_template(1200, 90.0),
+        real_template(190, 14.0),
+    ];
+    let butterflies = |n: u64| (n / 2) * u64::from(n.trailing_zeros());
+    let expected_butterflies = (1 + 3) * butterflies(2048) + (1 + 1) * butterflies(4096);
+    let expected_macs = 3 * 2048 + 4096 + 1000 * 4;
+
+    let mut ctx = DspContext::new();
+    let mut out = Vec::new();
+    uwb_obs::profile::enable();
+    let mut trees = Vec::new();
+    for _ in 0..2 {
+        let (result, tree) = uwb_obs::profile::scoped(|| {
+            ctx.matched_filter_bank_mags_into(&bank, &signal, &mut out)
+        });
+        result.unwrap();
+        trees.push(tree);
+    }
+    let _ = uwb_obs::profile::disable();
+    for (pass, tree) in trees.iter().enumerate() {
+        let work = |kind: &str| tree.work.get(kind).copied().unwrap_or(0);
+        assert_eq!(work("fft.butterfly"), expected_butterflies, "pass {pass}");
+        assert_eq!(work("conv.mac"), expected_macs, "pass {pass}");
+        assert_eq!(tree.total_work(), expected_butterflies + expected_macs);
+    }
+    for (t, filter) in bank.iter().enumerate() {
+        assert_eq!(out[t], per_filter_mags(filter, &signal), "template {t}");
+    }
+}
+
+#[test]
+fn bank_handles_empty_inputs() {
+    let filter = MatchedFilter::from_real(&[1.0, 0.5]).unwrap();
+    let mut out = vec![vec![1.0]; 3];
+    for backend in DspBackend::ALL {
+        let mut ctx = DspContext::with_backend(backend);
+        assert!(ctx
+            .matched_filter_bank_mags_into(&[&filter], &[], &mut out)
+            .is_err());
+        let no_filters: [&MatchedFilter; 0] = [];
+        ctx.matched_filter_bank_mags_into(&no_filters, &[Complex64::ONE], &mut out)
+            .unwrap();
+        assert!(out.is_empty(), "{backend}");
     }
 }
 

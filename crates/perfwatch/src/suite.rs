@@ -31,6 +31,7 @@ use concurrent_ranging::detection::{
     template_bank, DetectorContext, SearchSubtractConfig, SearchSubtractDetector,
 };
 use concurrent_ranging::{RangingPipeline, RoundContext, RoundProgram, SlotPlan};
+use repro_bench::Deployment;
 use std::sync::{Mutex, OnceLock};
 use uwb_dsp::{
     BluesteinPlan, Complex64, DspBackend, DspContext, DspScratch, FftPlan, Kernels, MatchedFilter,
@@ -160,6 +161,33 @@ fn default_detector() -> SearchSubtractDetector {
         },
     )
     .expect("default detector construction")
+}
+
+/// The Fig. 8 deployment's accumulator: the nine responders of
+/// `repro_bench::experiments::fig8::deployment` (free space, amplitude
+/// ∝ 1/distance, delays relative to the nearest responder), each in its
+/// RPM slot with its own pulse shape from the 4-slot × 3-shape scheme.
+fn fig8_cir(deployment: &Deployment) -> Cir {
+    let scheme = &deployment.scheme;
+    let distances_m: Vec<f64> = deployment
+        .responders
+        .iter()
+        .map(|&(p, _)| p.distance_to(deployment.initiator))
+        .collect();
+    let nearest_m = distances_m.iter().copied().fold(f64::INFINITY, f64::min);
+    let responses: Vec<(f64, f64, PulseShape)> = deployment
+        .responders
+        .iter()
+        .zip(&distances_m)
+        .map(|(&(_, id), &d_m)| {
+            let assignment = scheme.assign(id).expect("id fits the scheme");
+            let slot_ns = scheme.response_offset_s(id).expect("slot delay") * 1e9;
+            let round_trip_ns = 2.0 * (d_m - nearest_m) / uwb_radio::SPEED_OF_LIGHT * 1e9;
+            let shape = PulseShape::from_register(assignment.register, Channel::Ch7);
+            (16.0 + slot_ns + round_trip_ns, nearest_m / d_m, shape)
+        })
+        .collect();
+    repro_bench::synthesize_responses(&responses, 25.0, &mut suite_rng())
 }
 
 fn fig7_window_ns() -> f64 {
@@ -317,6 +345,38 @@ fn build_workloads(threads: usize) -> Vec<Workload> {
             default_warmup: 3,
             run: Box::new(move || {
                 let outcome = detector.detect_with(&mut ctx, &cir, 2).expect("detection");
+                std::hint::black_box(outcome);
+            }),
+        });
+    }
+
+    {
+        // The Fig. 8 protocol round's detection: three templates and 13
+        // search-and-subtract iterations (9 responders plus the MPC
+        // guard's 4 extra candidates) over the full accumulator window —
+        // the per-iteration matched-filter bank cost that dominates a
+        // full protocol round.
+        let deployment = repro_bench::experiments::fig8::deployment();
+        let cir = fig8_cir(&deployment);
+        let detector = SearchSubtractDetector::from_registers(
+            deployment.scheme.shapes(),
+            Channel::Ch7,
+            SearchSubtractConfig {
+                capture_diagnostics: false,
+                ..SearchSubtractConfig::default()
+            },
+        )
+        .expect("Fig. 8 detector construction");
+        let mut ctx = DetectorContext::new();
+        workloads.push(Workload {
+            name: "detect.search_subtract_fig8",
+            layer: "detect",
+            units: "trials",
+            units_per_iter: 1.0,
+            default_iters: 20,
+            default_warmup: 2,
+            run: Box::new(move || {
+                let outcome = detector.detect_with(&mut ctx, &cir, 13).expect("detection");
                 std::hint::black_box(outcome);
             }),
         });
