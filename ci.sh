@@ -111,11 +111,15 @@ UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --stream > /tmp/fig7_stream.txt
 diff /tmp/fig7_default.txt /tmp/fig7_stream.txt
 
-echo "==> perfwatch bench smoke (1 iteration, no warmup)"
-# Not a performance measurement — only proves the whole suite still
-# runs end to end and emits a parseable, complete document. Full runs
-# stay manual (see README "Performance observatory").
-./target/release/perfwatch --iters 1 --warmup 0 --out /tmp/bench_smoke.json >/dev/null
+echo "==> perfwatch bench smoke (1 iteration, no warmup, work gate vs committed baseline)"
+# Not a timing measurement: proves the whole suite still runs end to end
+# and emits a parseable, complete document, and gates every row's
+# work_ops against the committed BENCH_pipeline.json. The timing band is
+# so wide it never trips; work counts are deterministic, so any work
+# increase on any committed row fails --check. Full runs stay manual
+# (see README "Performance observatory").
+./target/release/perfwatch --iters 1 --warmup 0 --baseline BENCH_pipeline.json \
+    --noise-pct 10000 --out /tmp/bench_smoke.json --check >/dev/null
 ./target/release/perfwatch --validate /tmp/bench_smoke.json
 echo "==> perfwatch committed-baseline validation"
 ./target/release/perfwatch --validate BENCH_pipeline.json

@@ -4,17 +4,18 @@
 //! Both detectors re-run the same transform sizes for every CIR (1016
 //! taps upsampled ×8 → 8128 samples, matched-filtered per template). A
 //! [`DetectorContext`] owns a [`uwb_dsp::DspContext`] (FFT plan cache +
-//! scratch arena) and the detector-level buffers — the residual and the
-//! per-template matched-filter magnitudes — so a steady-state
-//! `detect_with` call allocates (almost) nothing. Build one context per
-//! worker thread and reuse it across trials; outputs are bit-identical
-//! to the context-free entry points.
+//! scratch arena) and the detector-level buffers — the residual, the
+//! per-template matched-filter magnitudes and the refinement's pulse
+//! memo — so a steady-state `detect_with` call allocates (almost)
+//! nothing. Build one context per worker thread and reuse it across
+//! trials; outputs are bit-identical to the context-free entry points.
 //!
 //! The context also carries the [`DspBackend`] selection the detectors
 //! dispatch their kernels through: [`DetectorContext::new`] honors the
 //! `UWB_DSP_BACKEND` environment knob (unset → the bit-identical f64
 //! default), [`DetectorContext::with_backend`] pins one explicitly.
 
+use crate::detection::templates::PulseMemo;
 use uwb_dsp::{Complex64, DspBackend, DspContext};
 
 /// Reusable state for repeated detection runs on one worker.
@@ -49,6 +50,8 @@ pub struct DetectorContext {
     pub(crate) scores: Vec<f64>,
     /// Refinement-window scores of the best template seen so far.
     pub(crate) best_scores: Vec<f64>,
+    /// Pulse values reused across the delays of one refinement window.
+    pub(crate) memo: PulseMemo,
 }
 
 impl Default for DetectorContext {
@@ -78,6 +81,7 @@ impl DetectorContext {
             mags: Vec::new(),
             scores: Vec::new(),
             best_scores: Vec::new(),
+            memo: PulseMemo::new(),
         }
     }
 

@@ -30,7 +30,7 @@ pub use search_subtract::{
     DetectionDiagnostics, DetectionOutcome, SearchSubtractConfig, SearchSubtractDetector,
 };
 pub use shape_scores::ShapeScores;
-pub use templates::{template_bank, DetectionTemplate};
+pub use templates::{template_bank, DetectionTemplate, PulseMemo};
 pub use threshold::{ThresholdConfig, ThresholdDetector};
 
 use crate::error::RangingError;

@@ -18,7 +18,7 @@ use crate::detection::shape_scores::ShapeScores;
 use crate::detection::templates::DetectionTemplate;
 use crate::detection::DetectedResponse;
 use crate::error::RangingError;
-use uwb_dsp::{parabolic_interpolation, DspBackend, Kernels};
+use uwb_dsp::{parabolic_interpolation, Kernels};
 use uwb_radio::Cir;
 
 /// Configuration of the search-and-subtract detector.
@@ -230,6 +230,7 @@ impl SearchSubtractDetector {
             mf_mags,
             scores,
             best_scores,
+            memo,
             ..
         } = ctx;
         let capture = self.config.capture_diagnostics;
@@ -336,12 +337,12 @@ impl SearchSubtractDetector {
 
         // Joint refinement: re-estimate each response with all others
         // removed, fixing the biased fits the greedy pass leaves on
-        // overlapping pulses. The re-search scores at integer grid
-        // delays, so non-default backends correlate against the
-        // pre-sampled template (equal to the analytic score up to
-        // rounding); the scalar backend keeps the bit-identical
-        // analytic path.
-        let grid_scores = dsp.backend() != DspBackend::ScalarF64;
+        // overlapping pulses. Every backend re-searches with the analytic
+        // template score at each grid delay of a ±main-lobe window; the
+        // context's pulse memo lets the delays of one window share pulse
+        // evaluations without changing a bit of the scores.
+        let _refine_scope =
+            (self.config.refinement_passes > 0).then(|| uwb_obs::profile::scope("refine"));
         for _ in 0..self.config.refinement_passes {
             for response in responses.iter_mut() {
                 let old = response.clone();
@@ -356,15 +357,7 @@ impl SearchSubtractDetector {
                     .min(residual.len().saturating_sub(1));
                 let mut best: Option<(usize, usize, f64)> = None;
                 for (ti, template) in self.templates.iter().enumerate() {
-                    if grid_scores {
-                        template.score_grid_into(residual, lo, hi, scores);
-                    } else {
-                        scores.clear();
-                        scores.extend(
-                            (lo..=hi)
-                                .map(|l| template.score_at(residual, l as f64 * sample_period_s)),
-                        );
-                    }
+                    template.score_window_into(residual, lo, hi, sample_period_s, scores, memo);
                     if let Some((idx, val)) = uwb_dsp::argmax(scores) {
                         if best.is_none_or(|(_, _, b)| val > b) {
                             best = Some((ti, idx, val));

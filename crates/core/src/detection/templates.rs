@@ -19,9 +19,6 @@ pub struct DetectionTemplate {
     pub register: Option<TcPgDelay>,
     pulse: PulseShape,
     filter: MatchedFilter,
-    /// The unit-energy sampled pulse the filter was built from, kept for
-    /// integer-grid scoring ([`DetectionTemplate::score_grid_into`]).
-    grid: Vec<f64>,
     /// Offset in samples from template start to the pulse center.
     peak_offset: usize,
     sample_period_s: f64,
@@ -43,7 +40,6 @@ impl DetectionTemplate {
             register: pulse.register(),
             pulse,
             filter,
-            grid: sampled.samples,
             peak_offset: sampled.peak_index,
             sample_period_s,
         }
@@ -155,40 +151,62 @@ impl DetectionTemplate {
         }
     }
 
-    /// Identification scores over a window of *integer-grid* delays:
-    /// `out[i]` agrees with `score_at(signal, (lo + i) · Ts)` to
-    /// floating-point rounding (the score is invariant to the template's
-    /// energy normalization), but correlates against the pre-sampled
-    /// pulse instead of re-evaluating the analytic shape per sample —
-    /// the dominant cost of the refinement re-search. The scalar f64
-    /// backend keeps the analytic [`DetectionTemplate::score_at`] path,
-    /// whose per-call rounding this does not reproduce bit-for-bit.
-    pub fn score_grid_into(&self, signal: &[Complex64], lo: usize, hi: usize, out: &mut Vec<f64>) {
+    /// Identification scores over a window of grid delays: `out[i]` is
+    /// `score_at(signal, (lo + i) as f64 * period_s)` bit for bit, for
+    /// `lo + i` from `lo` through `hi` clipped to the last signal sample
+    /// (empty when `lo` is past the end).
+    ///
+    /// The refinement re-search scores every delay of a window, so the
+    /// same pulse arguments recur at each template offset `n − l`: both
+    /// `n·Ts` and `l·Ts` are multiples of one ulp and their difference is
+    /// exact. `memo` keys each value on the exact bits of its argument,
+    /// so a reused value *is* `evaluate(t)`; only the number of analytic
+    /// evaluations changes. `template.eval` counts those, and
+    /// `template.memo_hit` the reused ones; their sum is what per-delay
+    /// `score_at` calls would count as `template.eval`.
+    pub fn score_window_into(
+        &self,
+        signal: &[Complex64],
+        lo: usize,
+        hi: usize,
+        period_s: f64,
+        out: &mut Vec<f64>,
+        memo: &mut PulseMemo,
+    ) {
+        let end = hi.saturating_add(1).min(signal.len());
         out.clear();
-        let peak = self.peak_offset as isize;
-        let mut macs = 0u64;
-        for l in lo..=hi.min(signal.len().saturating_sub(1)) {
-            let base = l as isize - peak;
-            let k_lo = (-base).max(0) as usize;
-            let k_hi = self
-                .grid
-                .len()
-                .min((signal.len() as isize - base).max(0) as usize);
+        out.reserve(end.saturating_sub(lo));
+        // Offsets `n − l` of the support lie within ±(peak_offset + 2);
+        // any other offset is evaluated without the memo.
+        let radius = self.peak_offset + 2;
+        memo.reset(2 * radius + 1);
+        let (mut evals, mut hits) = (0u64, 0u64);
+        for l in lo..end {
+            let tau_s = l as f64 * period_s;
+            let (s_lo, s_hi) = self.support_range(signal.len(), tau_s);
             let mut num = Complex64::ZERO;
             let mut energy = 0.0;
-            for (k, &p) in self.grid[k_lo..k_hi].iter().enumerate() {
-                let n = (base + (k_lo + k) as isize) as usize;
-                num += signal[n].scale(p);
-                energy += p * p;
+            for (n, sample) in signal.iter().enumerate().take(s_hi).skip(s_lo) {
+                let t = n as f64 * self.sample_period_s - tau_s;
+                let (p, hit) = memo.evaluate((n + radius).wrapping_sub(l), t, &self.pulse);
+                if hit {
+                    hits += 1;
+                } else {
+                    evals += 1;
+                }
+                if p != 0.0 {
+                    num += sample.scale(p);
+                    energy += p * p;
+                }
             }
-            macs += k_hi.saturating_sub(k_lo) as u64;
             out.push(if energy > 0.0 {
-                num.norm_sqr().sqrt() / energy.sqrt()
+                num.abs() / energy.sqrt()
             } else {
                 0.0
             });
         }
-        uwb_obs::profile::work("template.grid_mac", macs);
+        uwb_obs::profile::work("template.eval", evals);
+        uwb_obs::profile::work("template.memo_hit", hits);
     }
 
     /// Subtracts `amplitude · p(t − tau_s)` from the signal in place —
@@ -210,6 +228,59 @@ impl DetectionTemplate {
         let lo = ((tau_s - half) / self.sample_period_s).floor().max(0.0) as usize;
         let hi = (((tau_s + half) / self.sample_period_s).ceil() as usize + 1).min(signal_len);
         (lo.min(signal_len), hi)
+    }
+}
+
+/// Ways per offset slot of a [`PulseMemo`].
+const MEMO_WAYS: usize = 4;
+
+/// Reusable memo of analytic pulse values for
+/// [`DetectionTemplate::score_window_into`]: per template offset slot,
+/// up to four `(argument bits, value)` pairs — about 47 KB for
+/// the widest shape of a four-shape bank at ×8 upsampling. Each window
+/// call starts from an empty memo, so what it evaluates depends only on
+/// its inputs, never on earlier calls.
+#[derive(Debug, Default)]
+pub struct PulseMemo {
+    ways: Vec<(u64, f64)>,
+    /// Number of filled ways per slot.
+    filled: Vec<u8>,
+}
+
+impl PulseMemo {
+    /// An empty memo; it grows to the widest template on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties every slot, growing to at least `slots` slots.
+    fn reset(&mut self, slots: usize) {
+        if self.filled.len() < slots {
+            self.filled.resize(slots, 0);
+            self.ways.resize(slots * MEMO_WAYS, (0, 0.0));
+        }
+        self.filled.fill(0);
+    }
+
+    /// `pulse.evaluate(t)`, reused from `slot` when it holds the exact
+    /// bits of `t`; the flag tells whether it was. A miss is stored while
+    /// the slot has a free way; a slot past the end stores nothing.
+    fn evaluate(&mut self, slot: usize, t: f64, pulse: &PulseShape) -> (f64, bool) {
+        let Some(filled) = self.filled.get_mut(slot) else {
+            return (pulse.evaluate(t), false);
+        };
+        let key = t.to_bits();
+        let ways = &mut self.ways[slot * MEMO_WAYS..(slot + 1) * MEMO_WAYS];
+        if let Some(&(_, p)) = ways[..usize::from(*filled)].iter().find(|w| w.0 == key) {
+            return (p, true);
+        }
+        let p = pulse.evaluate(t);
+        if usize::from(*filled) < MEMO_WAYS {
+            ways[usize::from(*filled)] = (key, p);
+            *filled += 1;
+        }
+        (p, false)
     }
 }
 

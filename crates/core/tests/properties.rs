@@ -2,8 +2,8 @@
 //! slot/shape assignment, detection and aggregation invariants.
 
 use concurrent_ranging::detection::{
-    Detector, DetectorContext, SearchSubtractConfig, SearchSubtractDetector, ThresholdConfig,
-    ThresholdDetector,
+    template_bank, Detector, DetectorContext, PulseMemo, SearchSubtractConfig,
+    SearchSubtractDetector, ThresholdConfig, ThresholdDetector,
 };
 use concurrent_ranging::{
     concurrent_distance_m, concurrent_distance_with_rpm_m, multilaterate, CombinedScheme,
@@ -16,6 +16,7 @@ use uwb_channel::{Arrival, CirSynthesizer, Point2};
 use uwb_dsp::{Complex64, DspBackend};
 use uwb_radio::{
     meters_to_seconds, Channel, Cir, DeviceTime, Prf, PulseShape, RadioConfig, TcPgDelay,
+    CIR_SAMPLE_PERIOD_S,
 };
 
 /// Runs `detector` on `cir` under every DSP backend and returns the
@@ -31,6 +32,10 @@ fn on_every_backend<D: Detector>(
             detector.detect_with(&mut DetectorContext::with_backend(backend), cir, count)
         })
         .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -180,6 +185,77 @@ proptest! {
         for result in on_every_backend(&threshold, &cir, 1) {
             prop_assert_eq!(result.unwrap_err(), expected.clone());
         }
+    }
+
+    #[test]
+    fn score_window_equals_per_delay_score_at_bit_for_bit(
+        seed in 0u64..1000,
+        lens in (1usize..1200, 1usize..1200),
+        lo in 0usize..1300,
+        width in 0usize..32,
+    ) {
+        // Every shape of a four-shape bank, with one memo reused dirty
+        // across templates of different lengths and across two random
+        // signals, over windows anywhere, clipped at either edge and
+        // wholly past the end: each window score must be the per-delay
+        // analytic score to the bit, and analytic evaluations plus memo
+        // hits must add up to what the per-delay calls count as
+        // `template.eval`.
+        use rand::Rng;
+        let period = CIR_SAMPLE_PERIOD_S / 8.0;
+        let bank = template_bank(&TcPgDelay::spread(4).unwrap(), Channel::Ch7, period);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut memo = PulseMemo::new();
+        let mut out = Vec::new();
+        uwb_obs::profile::enable();
+        for len in [lens.0, lens.1] {
+            let signal: Vec<Complex64> = (0..len)
+                .map(|_| Complex64::new(rng.random::<f64>() - 0.5, rng.random::<f64>() - 0.5))
+                .collect();
+            let windows = [
+                (lo, lo + width),
+                (0, width),
+                (len.saturating_sub(width + 1), len - 1 + width),
+                (len, len + width),
+            ];
+            for template in &bank {
+                for (w_lo, w_hi) in windows {
+                    let ((), window_work) = uwb_obs::profile::scoped(|| {
+                        template.score_window_into(&signal, w_lo, w_hi, period, &mut out, &mut memo);
+                    });
+                    let (expected, delay_work) = uwb_obs::profile::scoped(|| {
+                        (w_lo..=w_hi.min(len - 1))
+                            .map(|l| template.score_at(&signal, l as f64 * period))
+                            .collect::<Vec<f64>>()
+                    });
+                    if w_lo >= len {
+                        prop_assert!(out.is_empty(), "window past the end scored {:?}", out);
+                    }
+                    prop_assert_eq!(
+                        bits(&out),
+                        bits(&expected),
+                        "shape {} window {}..={} of {} samples",
+                        template.shape_index,
+                        w_lo,
+                        w_hi,
+                        len
+                    );
+                    // The dirty memo must count exactly what a fresh one
+                    // does: work profiles never depend on earlier calls.
+                    let ((), fresh_work) = uwb_obs::profile::scoped(|| {
+                        let mut fresh = PulseMemo::new();
+                        template.score_window_into(&signal, w_lo, w_hi, period, &mut out, &mut fresh);
+                    });
+                    prop_assert_eq!(&window_work, &fresh_work);
+                    let work = |kind| window_work.work.get(kind).copied().unwrap_or(0);
+                    prop_assert_eq!(
+                        work("template.eval") + work("template.memo_hit"),
+                        delay_work.work.get("template.eval").copied().unwrap_or(0)
+                    );
+                }
+            }
+        }
+        uwb_obs::profile::disable();
     }
 
     #[test]
