@@ -88,14 +88,18 @@ grep -q "work:fft.butterfly" /tmp/profile_t1.collapsed
 echo "==> DSP backend smoke (f64 byte-identical; rfft/f32 run clean)"
 # The multi-backend acceptance gate: an explicit --dsp-backend f64 run
 # must emit a byte-identical report to the default run (the scalar f64
-# backend IS the historical pipeline), and the real-FFT and f32
-# backends must complete the same campaign cleanly.
+# backend IS the historical pipeline), the default report must equal
+# the committed results/ci/fig7_overlap_20.txt, and the real-FFT and
+# f32 backends must complete the same campaign cleanly.
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 > /tmp/fig7_default.txt
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 --dsp-backend f64 \
     > /tmp/fig7_backend_f64.txt
 diff /tmp/fig7_default.txt /tmp/fig7_backend_f64.txt
+# Two runs of one binary agree even if the f64 reference itself drifts,
+# so also pin the default report to the committed expected one.
+diff results/ci/fig7_overlap_20.txt /tmp/fig7_default.txt
 for backend in rfft f32; do
     UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
         ./target/release/exp_fig7_overlap --threads 2 \
@@ -146,11 +150,12 @@ fi
 echo "==> perfwatch count-alloc smoke (planned hot path stays allocation-free)"
 # Rebuilds the suite with the counting allocator and gates the planned
 # DSP/detection rows on a hard per-iteration allocation budget: after one
-# warmup (which fills the plan caches), a detection allocates nothing
-# beyond its returned response vector.
+# warmup (which fills the plan caches), a planned transform allocates
+# nothing and a detection allocates nothing beyond its returned
+# response vector.
 cargo build --release -p uwb-perfwatch --features count-alloc
 ./target/release/perfwatch --iters 1 --warmup 1 \
-    --filter dsp.matched_filter_1016,detect.search_subtract,detect.shape_classify \
+    --filter dsp.fft_radix2_16384,dsp.matched_filter_1016,detect.search_subtract,detect.shape_classify \
     --max-allocs 4 --out /tmp/bench_alloc_smoke.json >/dev/null
 # Restore the default-feature binary for anyone running artifacts next.
 cargo build --release -p uwb-perfwatch

@@ -92,17 +92,22 @@ impl BluesteinPlan {
                 Complex64::cis(-PI * sq as f64 / size as f64)
             })
             .collect();
-        let mut kernel = vec![Complex64::ZERO; conv_len];
-        kernel[0] = chirp[0].conj();
-        for n in 1..size {
-            let v = chirp[n].conj();
-            kernel[n] = v;
-            kernel[conv_len - n] = v;
-        }
+        // The conjugate chirp, wrapped symmetrically: samples `0..N` at
+        // the front, `1..N` mirrored at the back, zeros in between.
+        let mut kernel = Vec::new();
+        plan.load_bit_reversed(&mut kernel, |j| {
+            if j < size {
+                chirp[j].conj()
+            } else if j > conv_len - size {
+                chirp[conv_len - j].conj()
+            } else {
+                Complex64::ZERO
+            }
+        });
         // Uncounted: construction work is amortised per plan cache (one
         // fill per worker), so it must not enter the deterministic work
         // totals that are compared across thread counts.
-        plan.transform_unprofiled(&mut kernel, Direction::Forward);
+        plan.transform_bit_reversed_unprofiled(&mut kernel, Direction::Forward);
         Ok(Self {
             size,
             inner: Inner::Chirp {
@@ -155,7 +160,7 @@ impl BluesteinPlan {
         match &self.inner {
             Inner::Radix2(_) => self.transform_radix2(data, direction),
             Inner::Chirp { conv_len, .. } => {
-                let mut buf = vec![Complex64::ZERO; *conv_len];
+                let mut buf = Vec::with_capacity(*conv_len);
                 self.chirp_transform(data, direction, &mut buf);
             }
         }
@@ -197,8 +202,8 @@ impl BluesteinPlan {
     ) {
         match &self.inner {
             Inner::Radix2(_) => self.transform_radix2(data, direction),
-            Inner::Chirp { conv_len, .. } => {
-                let mut buf = scratch.acquire_zeroed(*conv_len);
+            Inner::Chirp { .. } => {
+                let mut buf = scratch.acquire();
                 self.chirp_transform(data, direction, &mut buf);
                 scratch.release(buf);
             }
@@ -213,9 +218,14 @@ impl BluesteinPlan {
         }
     }
 
-    /// The chirp-z core over a caller-provided zero-filled buffer of
-    /// length `conv_len`.
-    fn chirp_transform(&self, data: &mut [Complex64], direction: Direction, buf: &mut [Complex64]) {
+    /// The chirp-z core over a caller-provided working buffer (its
+    /// contents are replaced; it ends `conv_len` long).
+    fn chirp_transform(
+        &self,
+        data: &mut [Complex64],
+        direction: Direction,
+        buf: &mut Vec<Complex64>,
+    ) {
         self.check_len(data.len());
         let Inner::Chirp {
             conv_len,
@@ -226,7 +236,6 @@ impl BluesteinPlan {
         else {
             unreachable!("chirp dispatch checked by caller")
         };
-        assert_eq!(buf.len(), *conv_len, "convolution buffer length");
         let n = self.size;
         // Chirp pre/post-multiplies (2N) plus the pointwise kernel
         // product (conv_len); the two embedded radix-2 transforms count
@@ -235,27 +244,24 @@ impl BluesteinPlan {
         // The inverse transform X[k] with exponent +2πi·kn/N equals
         // the conjugate of the forward transform of the conjugated
         // input, scaled by 1/N. Reuse the forward machinery.
-        if direction == Direction::Inverse {
-            for z in data.iter_mut() {
-                *z = z.conj();
-            }
-        }
+        let inverse = direction == Direction::Inverse;
 
-        for i in 0..n {
-            buf[i] = data[i] * chirp[i];
-        }
-        plan.forward(buf);
+        // The chirp product, zero-padded to `conv_len`, lands directly
+        // in bit-reversed order.
+        plan.load_bit_reversed(buf, |i| match data.get(i) {
+            Some(&z) if inverse => z.conj() * chirp[i],
+            Some(&z) => z * chirp[i],
+            None => Complex64::ZERO,
+        });
+        plan.transform_bit_reversed(buf, Direction::Forward);
         for (b, k) in buf.iter_mut().zip(kernel_fft) {
             *b *= *k;
         }
         plan.inverse(buf);
-        for k in 0..n {
-            data[k] = buf[k] * chirp[k];
-        }
-
-        if direction == Direction::Inverse {
-            let scale = 1.0 / n as f64;
-            for z in data.iter_mut() {
+        let scale = 1.0 / n as f64;
+        for ((z, b), w) in data.iter_mut().zip(buf.iter()).zip(chirp) {
+            *z = *b * *w;
+            if inverse {
                 *z = z.conj().scale(scale);
             }
         }

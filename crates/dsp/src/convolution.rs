@@ -6,7 +6,7 @@
 
 use crate::complex::Complex64;
 use crate::error::DspError;
-use crate::fft::{next_power_of_two, FftPlan};
+use crate::fft::{next_power_of_two, Direction, FftPlan};
 use crate::plan::DspContext;
 
 /// Direct-vs-FFT cost ratio: the FFT path costs roughly
@@ -107,20 +107,20 @@ pub fn convolve_into(
     // Pointwise spectrum product; the three planned transforms below
     // count their own butterflies.
     uwb_obs::profile::work("conv.mac", n as u64);
+    // Both padded operands and the spectrum product are written straight
+    // into bit-reversed order; the inverse runs in `out`, which keeps
+    // the first `out_len` samples.
     let plan = ctx.plans.radix2(n)?;
-    let mut fa = ctx.scratch.acquire_zeroed(n);
-    fa[..a.len()].copy_from_slice(a);
-    let mut fb = ctx.scratch.acquire_zeroed(n);
-    fb[..b.len()].copy_from_slice(b);
+    let mut fa = ctx.scratch.acquire();
+    plan.load_padded_bit_reversed(&mut fa, a);
+    let mut fb = ctx.scratch.acquire();
+    plan.load_padded_bit_reversed(&mut fb, b);
 
-    plan.forward(&mut fa);
-    plan.forward(&mut fb);
-    for (x, y) in fa.iter_mut().zip(&fb) {
-        *x *= *y;
-    }
-    plan.inverse(&mut fa);
-    out.clear();
-    out.extend_from_slice(&fa[..out_len]);
+    plan.transform_bit_reversed(&mut fa, Direction::Forward);
+    plan.transform_bit_reversed(&mut fb, Direction::Forward);
+    plan.load_bit_reversed(out, |j| fa[j] * fb[j]);
+    plan.transform_bit_reversed(out, Direction::Inverse);
+    out.truncate(out_len);
     ctx.scratch.release(fa);
     ctx.scratch.release(fb);
     Ok(())

@@ -237,9 +237,9 @@ impl DspContext {
             }
             _ => {
                 let plan = self.plans.radix2(k)?;
-                spectrum = vec![Complex64::ZERO; k];
-                spectrum[..filter.reversed().len()].copy_from_slice(filter.reversed());
-                plan.transform_unprofiled(&mut spectrum, Direction::Forward);
+                spectrum = Vec::new();
+                plan.load_padded_bit_reversed(&mut spectrum, filter.reversed());
+                plan.transform_bit_reversed_unprofiled(&mut spectrum, Direction::Forward);
             }
         }
         let spectrum = Arc::new(spectrum);
@@ -313,9 +313,9 @@ impl DspContext {
                 continue;
             }
             let plan = self.plans.radix2(n)?;
-            let mut signal_spectrum = self.scratch.acquire_zeroed(n);
-            signal_spectrum[..signal.len()].copy_from_slice(signal);
-            plan.forward(&mut signal_spectrum);
+            let mut signal_spectrum = self.scratch.acquire();
+            plan.load_padded_bit_reversed(&mut signal_spectrum, signal);
+            plan.transform_bit_reversed(&mut signal_spectrum, Direction::Forward);
             for (u, member) in filters.iter().enumerate().skip(t) {
                 if fft_len(member) != Some(n) {
                     continue;
@@ -325,13 +325,8 @@ impl DspContext {
                 uwb_obs::profile::work("conv.mac", n as u64);
                 let kernel = self.kernel_spectrum_f64(member, n, DspBackend::ScalarF64)?;
                 let mut buf = self.scratch.acquire();
-                buf.extend(
-                    signal_spectrum
-                        .iter()
-                        .zip(kernel.iter())
-                        .map(|(x, y)| *x * *y),
-                );
-                plan.inverse(&mut buf);
+                plan.load_bit_reversed(&mut buf, |j| signal_spectrum[j] * kernel[j]);
+                plan.transform_bit_reversed(&mut buf, Direction::Inverse);
                 let start = member.len() - 1;
                 emit(u, &buf[start..start + signal.len()]);
                 self.scratch.release(buf);
@@ -402,11 +397,9 @@ impl DspContext {
                     // Same per-block accounting as convolve_into's FFT
                     // path, minus the kernel transform the cache removed.
                     uwb_obs::profile::work("conv.mac", k as u64);
-                    buf.clear();
-                    buf.resize(k, Complex64::ZERO);
-                    let seg_end = (produced + k).min(signal.len());
-                    buf[..seg_end - produced].copy_from_slice(&signal[produced..seg_end]);
-                    plan.forward(&mut buf);
+                    let segment = &signal[produced..(produced + k).min(signal.len())];
+                    plan.load_padded_bit_reversed(&mut buf, segment);
+                    plan.transform_bit_reversed(&mut buf, Direction::Forward);
                     for (b, s) in buf.iter_mut().zip(spectrum.iter()) {
                         *b *= *s;
                     }

@@ -132,15 +132,16 @@ impl RealFftPlan {
         );
         let n = self.size;
         let h = n / 2;
-        let mut packed = scratch.acquire_zeroed(h);
-        for (k, slot) in packed.iter_mut().enumerate() {
-            *slot = Complex64::new(input[2 * k], input[2 * k + 1]);
-        }
+        let mut packed = scratch.acquire();
+        self.half.load_bit_reversed(&mut packed, |k| {
+            Complex64::new(input[2 * k], input[2 * k + 1])
+        });
         if profiled {
-            self.half.transform(&mut packed, Direction::Forward);
+            self.half
+                .transform_bit_reversed(&mut packed, Direction::Forward);
         } else {
             self.half
-                .transform_unprofiled(&mut packed, Direction::Forward);
+                .transform_bit_reversed_unprofiled(&mut packed, Direction::Forward);
         }
         out.clear();
         out.resize(n, Complex64::ZERO);

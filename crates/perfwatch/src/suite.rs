@@ -198,9 +198,12 @@ fn fig7_window_ns() -> f64 {
 fn build_workloads(threads: usize) -> Vec<Workload> {
     let mut workloads = Vec::new();
 
+    // 16384 is the transform the Fig. 7/8 matched-filter bank and the
+    // Bluestein-8128 inverse of the ×8 upsampling run.
     for (name, size, iters) in [
         ("dsp.fft_radix2_1024", 1024usize, 300u32),
         ("dsp.fft_radix2_4096", 4096, 120),
+        ("dsp.fft_radix2_16384", 16384, 40),
     ] {
         let plan = FftPlan::new(size).expect("power-of-two FFT plan");
         let mut buf: Vec<Complex64> = (0..size)
@@ -836,6 +839,71 @@ mod tests {
         // butterflies, a pure function of the input.
         assert_eq!(a[0].work_ops, Some(2 * 512 * 10));
         assert_eq!(a[0].work_ops, b[0].work_ops);
+    }
+
+    /// FNV-1a over the IEEE-754 bits of `values`, in order.
+    fn bits_digest(values: impl IntoIterator<Item = f64>) -> u64 {
+        values.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            x.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// The scalar f64 reference on the `detect.search_subtract_fig8`
+    /// accumulator, pinned bit for bit: the ×8 upsampled CIR, the
+    /// first-iteration matched-filter bank of the three Fig. 8 templates,
+    /// and the full 13-iteration detection. The digests were recorded
+    /// from the swap-then-butterfly radix-2 kernel, before the bit
+    /// reversal moved into the copies that feed each transform.
+    #[test]
+    fn fig8_bank_and_detection_bits_are_pinned() {
+        let deployment = repro_bench::experiments::fig8::deployment();
+        let cir = fig8_cir(&deployment);
+        let mut ctx = DspContext::new();
+        let mut up = Vec::new();
+        ctx.upsample_into(cir.taps(), 8, &mut up).expect("upsample");
+        let templates = template_bank(
+            deployment.scheme.shapes(),
+            Channel::Ch7,
+            CIR_SAMPLE_PERIOD_S / 8.0,
+        );
+        let mut mags = Vec::new();
+        ctx.matched_filter_bank_mags_into(&templates, &up, &mut mags)
+            .expect("bank");
+        let detector = SearchSubtractDetector::from_registers(
+            deployment.scheme.shapes(),
+            Channel::Ch7,
+            SearchSubtractConfig {
+                capture_diagnostics: false,
+                ..SearchSubtractConfig::default()
+            },
+        )
+        .expect("Fig. 8 detector");
+        let outcome = detector
+            .detect_with(&mut DetectorContext::new(), &cir, 13)
+            .expect("detection");
+        assert_eq!(outcome.responses.len(), 13);
+        let detected = outcome.responses.iter().flat_map(|r| {
+            [
+                r.tau_s,
+                r.amplitude.re,
+                r.amplitude.im,
+                r.shape_index as f64,
+            ]
+            .into_iter()
+            .chain(r.shape_scores.as_slice().iter().copied())
+        });
+        let actual = [
+            bits_digest(up.iter().flat_map(|z| [z.re, z.im])),
+            bits_digest(mags.iter().flatten().copied()),
+            bits_digest(detected),
+        ];
+        assert_eq!(
+            actual,
+            [0xe82f8df75a1f5c78, 0x6c07068ec24e60d4, 0xc1bcc5cd10277e83],
+            "{actual:#018x?}"
+        );
     }
 
     #[test]
