@@ -8,9 +8,12 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets covers libs, binaries, tests and examples; the workspace
+# has no bench targets (timing lives in perfwatch).
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Documents every library and binary of the workspace.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build --release --workspace"
@@ -85,12 +88,12 @@ diff /tmp/profile_t1.collapsed /tmp/profile_t4.collapsed
 grep -q "total work:" /tmp/flame_smoke.txt
 grep -q "work:fft.butterfly" /tmp/profile_t1.collapsed
 
-echo "==> DSP backend smoke (f64 byte-identical; rfft/f32 run clean)"
-# The multi-backend acceptance gate: an explicit --dsp-backend f64 run
+echo "==> DSP backend smoke (f64 byte-identical; rfft runs clean)"
+# The two-backend acceptance gate: an explicit --dsp-backend f64 run
 # must emit a byte-identical report to the default run (the scalar f64
 # backend IS the historical pipeline), the default report must equal
-# the committed results/ci/fig7_overlap_20.txt, and the real-FFT and
-# f32 backends must complete the same campaign cleanly.
+# the committed results/ci/fig7_overlap_20.txt, and the real-FFT
+# backend must complete the same campaign cleanly.
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
     ./target/release/exp_fig7_overlap --threads 2 > /tmp/fig7_default.txt
 UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
@@ -100,11 +103,8 @@ diff /tmp/fig7_default.txt /tmp/fig7_backend_f64.txt
 # Two runs of one binary agree even if the f64 reference itself drifts,
 # so also pin the default report to the committed expected one.
 diff results/ci/fig7_overlap_20.txt /tmp/fig7_default.txt
-for backend in rfft f32; do
-    UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
-        ./target/release/exp_fig7_overlap --threads 2 \
-        --dsp-backend "$backend" >/dev/null
-done
+UWB_RESULTS_DIR=/tmp/backend_smoke_results REPRO_TRIALS=20 \
+    ./target/release/exp_fig7_overlap --threads 2 --dsp-backend rfft >/dev/null
 
 echo "==> streaming pipeline smoke (feed_round byte-identical to batch)"
 # The pipeline-layer acceptance gate: driving the same Fig. 7 workload
@@ -149,13 +149,13 @@ fi
 
 echo "==> perfwatch count-alloc smoke (planned hot path stays allocation-free)"
 # Rebuilds the suite with the counting allocator and gates the planned
-# DSP/detection rows on a hard per-iteration allocation budget: after one
-# warmup (which fills the plan caches), a planned transform allocates
-# nothing and a detection allocates nothing beyond its returned
-# response vector.
+# DSP/render/detection rows on a hard per-iteration allocation budget:
+# after one warmup (which fills the plan caches), a planned transform and
+# a CIR render into a reused accumulator allocate nothing, and a
+# detection allocates nothing beyond its returned response vector.
 cargo build --release -p uwb-perfwatch --features count-alloc
 ./target/release/perfwatch --iters 1 --warmup 1 \
-    --filter dsp.fft_radix2_16384,dsp.matched_filter_1016,detect.search_subtract,detect.shape_classify \
+    --filter dsp.fft_radix2_16384,dsp.matched_filter_1016,channel.render_into,detect.search_subtract,detect.shape_classify \
     --max-allocs 4 --out /tmp/bench_alloc_smoke.json >/dev/null
 # Restore the default-feature binary for anyone running artifacts next.
 cargo build --release -p uwb-perfwatch

@@ -10,15 +10,14 @@
 use repro_bench::experiments::fig7::{self, Fig7Report};
 use uwb_campaign::artifact::{results_dir, CsvWriter};
 
+const BIN: &str = "exp_fig7_overlap";
+
 fn main() {
     let trials = repro_bench::trials_from_env(2000);
-    let (obs, leftover) = match repro_bench::ExpHarness::init_with(
-        "exp_fig7_overlap",
-        std::env::args().skip(1),
-    ) {
+    let (obs, leftover) = match repro_bench::ExpHarness::init_with(BIN, std::env::args().skip(1)) {
         Ok(parsed) => parsed,
         Err(msg) => {
-            eprintln!("{msg}\nusage: exp_fig7_overlap [--stream] [--threads N] [--dsp-backend f64|rfft|f32] [--trace-out[=PATH]] [--profile[=PATH]]");
+            eprintln!("{msg}\n{}", repro_bench::usage_line(BIN, "[--stream] "));
             std::process::exit(2);
         }
     };
@@ -26,7 +25,10 @@ fn main() {
         [] => false,
         [flag] if flag == "--stream" => true,
         other => {
-            eprintln!("unrecognised arguments: {other:?}\nusage: exp_fig7_overlap [--stream] [--threads N] [--dsp-backend f64|rfft|f32] [--trace-out[=PATH]] [--profile[=PATH]]");
+            eprintln!(
+                "unrecognised arguments: {other:?}\n{}",
+                repro_bench::usage_line(BIN, "[--stream] ")
+            );
             std::process::exit(2);
         }
     };

@@ -24,8 +24,19 @@ pub use table::{fmt_f, sparkline, trials_from_env, Table};
 
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: exp_… [--threads N] [--dsp-backend f64|rfft|f32] \
-[--trace-out[=PATH]] [--profile[=PATH]]";
+/// The usage line of an experiment binary taking the shared flags, plus
+/// `extra_flags` (e.g. `"[--stream] "`) ahead of them. The backend
+/// labels come from [`uwb_dsp::DspBackend::ALL`], so the line offers
+/// exactly the backends that exist.
+#[must_use]
+pub fn usage_line(bin: &str, extra_flags: &str) -> String {
+    let labels = uwb_dsp::DspBackend::ALL.map(uwb_dsp::DspBackend::label);
+    format!(
+        "usage: {bin} {extra_flags}[--threads N] [--dsp-backend {}] \
+         [--trace-out[=PATH]] [--profile[=PATH]]",
+        labels.join("|")
+    )
+}
 
 /// The shared experiment CLI: the `--threads N` worker knob, the DSP
 /// backend selector (`--dsp-backend LABEL`, or the `UWB_DSP_BACKEND`
@@ -61,13 +72,16 @@ impl ExpHarness {
         match Self::init_with(name, std::env::args().skip(1)) {
             Ok((harness, leftover)) => {
                 if !leftover.is_empty() {
-                    eprintln!("unrecognised arguments: {leftover:?}\n{USAGE}");
+                    eprintln!(
+                        "unrecognised arguments: {leftover:?}\n{}",
+                        usage_line(name, "")
+                    );
                     std::process::exit(2);
                 }
                 harness
             }
             Err(msg) => {
-                eprintln!("{msg}\n{USAGE}");
+                eprintln!("{msg}\n{}", usage_line(name, ""));
                 std::process::exit(2);
             }
         }
@@ -112,8 +126,10 @@ impl ExpHarness {
             }
         }
         let dsp_backend = match &backend_opt {
-            Some(label) => uwb_dsp::DspBackend::parse(label)
-                .ok_or_else(|| format!("unknown DSP backend {label:?} (f64, rfft, f32)"))?,
+            Some(label) => uwb_dsp::DspBackend::parse(label).ok_or_else(|| {
+                let labels = uwb_dsp::DspBackend::ALL.map(uwb_dsp::DspBackend::label);
+                format!("unknown DSP backend {label:?} ({})", labels.join(", "))
+            })?,
             None => uwb_dsp::DspBackend::from_env(),
         };
         if backend_opt.is_some() {
@@ -217,12 +233,33 @@ pub fn threads_from_args() -> usize {
     match uwb_campaign::parse_threads_arg(std::env::args().skip(1)) {
         Ok((threads, rest)) if rest.is_empty() => threads,
         Ok((_, rest)) => {
-            eprintln!("unrecognised arguments: {rest:?}\n{USAGE}");
+            eprintln!(
+                "unrecognised arguments: {rest:?}\n{}",
+                usage_line("exp_…", "")
+            );
             std::process::exit(2);
         }
         Err(msg) => {
-            eprintln!("{msg}\n{USAGE}");
+            eprintln!("{msg}\n{}", usage_line("exp_…", ""));
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_and_backend_errors_offer_exactly_the_existing_backends() {
+        let usage = usage_line("exp_fig7_overlap", "[--stream] ");
+        assert!(
+            usage.starts_with("usage: exp_fig7_overlap [--stream] [--threads N]"),
+            "{usage}"
+        );
+        assert!(usage.contains("[--dsp-backend f64|rfft]"), "{usage}");
+        let args = ["--dsp-backend", "f32"].map(String::from);
+        let err = ExpHarness::init_with("exp_test", args.into_iter()).unwrap_err();
+        assert_eq!(err, "unknown DSP backend \"f32\" (f64, rfft)");
     }
 }

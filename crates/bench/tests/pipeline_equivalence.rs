@@ -9,8 +9,8 @@
 //!
 //! Backend legs: the scalar-f64 backend is the historical pipeline, so
 //! its tally must also hit the exact seed-17 golden the campaign suite
-//! pins. The real-FFT and f32 backends reassociate/round differently, so
-//! their verdicts may flip on knife-edge trials relative to f64 (the
+//! pins. The real-FFT backend reassociates differently, so its
+//! verdicts may flip on knife-edge trials relative to f64 (the
 //! kernel-level bounds live in `uwb-dsp`'s `backend_tolerance` suite) —
 //! but streaming-vs-batch under the *same* backend stays exact, and the
 //! overlap classification (pre-DSP, RNG-only) never moves at all.
@@ -69,46 +69,39 @@ fn streaming_is_byte_identical_to_batch_at_every_thread_count_f64() {
 }
 
 #[test]
-fn streaming_is_byte_identical_to_batch_under_rfft_and_f32() {
-    for backend in [DspBackend::RealFft, DspBackend::F32] {
-        let stream = streamed(backend);
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(
-                stream,
-                batch(threads, backend),
-                "{backend}: streaming diverged from the {threads}-thread batch"
-            );
-        }
+fn streaming_is_byte_identical_to_batch_under_rfft() {
+    let stream = streamed(DspBackend::RealFft);
+    for threads in [1usize, 2, 4, 8] {
+        assert_eq!(
+            stream,
+            batch(threads, DspBackend::RealFft),
+            "rfft: streaming diverged from the {threads}-thread batch"
+        );
     }
 }
 
 #[test]
 fn alternate_backends_stay_within_the_tolerance_band_of_f64() {
     let reference: Fig7Report = streamed(DspBackend::ScalarF64).into();
-    for backend in [DspBackend::RealFft, DspBackend::F32] {
-        let report: Fig7Report = streamed(backend).into();
-        // Overlap classification happens before any DSP touches the
-        // trial: it cannot move under reassociation or rounding.
-        assert_eq!(report.total_trials, reference.total_trials, "{backend}");
-        assert_eq!(
-            report.overlapping_trials, reference.overlapping_trials,
-            "{backend}"
-        );
-        // Detection verdicts are thresholded, so kernel-level error
-        // bounds (~1e-9 / ~1e-3 of peak) can flip at most knife-edge
-        // trials: allow 2 of the 125 overlapping verdicts per detector.
-        let band = 2.0 / reference.overlapping_trials as f64;
-        assert!(
-            (report.search_subtract_rate - reference.search_subtract_rate).abs() <= band,
-            "{backend}: S&S rate {} vs f64 {}",
-            report.search_subtract_rate,
-            reference.search_subtract_rate
-        );
-        assert!(
-            (report.threshold_rate - reference.threshold_rate).abs() <= band,
-            "{backend}: threshold rate {} vs f64 {}",
-            report.threshold_rate,
-            reference.threshold_rate
-        );
-    }
+    let report: Fig7Report = streamed(DspBackend::RealFft).into();
+    // Overlap classification happens before any DSP touches the trial:
+    // it cannot move under reassociation.
+    assert_eq!(report.total_trials, reference.total_trials);
+    assert_eq!(report.overlapping_trials, reference.overlapping_trials);
+    // Detection verdicts are thresholded, so the kernel-level error
+    // bound (~1e-9 of peak) can flip at most knife-edge trials: allow 2
+    // of the 125 overlapping verdicts per detector.
+    let band = 2.0 / reference.overlapping_trials as f64;
+    assert!(
+        (report.search_subtract_rate - reference.search_subtract_rate).abs() <= band,
+        "rfft: S&S rate {} vs f64 {}",
+        report.search_subtract_rate,
+        reference.search_subtract_rate
+    );
+    assert!(
+        (report.threshold_rate - reference.threshold_rate).abs() <= band,
+        "rfft: threshold rate {} vs f64 {}",
+        report.threshold_rate,
+        reference.threshold_rate
+    );
 }

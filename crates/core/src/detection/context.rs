@@ -28,8 +28,8 @@ use uwb_dsp::{Complex64, DspBackend, DspContext};
 ///
 /// let mut ctx = DetectorContext::new(); // backend from UWB_DSP_BACKEND
 /// assert_eq!(
-///     DetectorContext::with_backend(DspBackend::F32).backend(),
-///     DspBackend::F32,
+///     DetectorContext::with_backend(DspBackend::RealFft).backend(),
+///     DspBackend::RealFft,
 /// );
 /// // Pass to `SearchSubtractDetector::detect_with` /
 /// // `ThresholdDetector::detect_with` across many trials.

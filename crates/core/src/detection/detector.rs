@@ -232,8 +232,8 @@ mod tests {
 
     #[test]
     fn non_default_backends_recover_the_same_responses() {
-        // End-to-end tolerance leg: the ToA estimates from the rfft and
-        // f32 backends must agree with the scalar reference far inside
+        // End-to-end tolerance leg: the ToA estimates from the rfft
+        // backend must agree with the scalar reference far inside
         // the CIR noise floor (±0.003 noise sigma ≈ tens of ps of ToA
         // jitter; backend deltas sit orders of magnitude below).
         let detector = search_subtract();
@@ -241,23 +241,18 @@ mod tests {
         let mut reference_ctx = DetectorContext::with_backend(DspBackend::ScalarF64);
         let reference = detector.detect_batch(&mut reference_ctx, &cirs, 2).unwrap();
 
-        for (backend, tau_tol_s) in [(DspBackend::RealFft, 1e-13), (DspBackend::F32, 5e-12)] {
-            let mut ctx = DetectorContext::with_backend(backend);
-            let outcomes = detector.detect_batch(&mut ctx, &cirs, 2).unwrap();
-            for (trial, (got, want)) in outcomes.iter().zip(&reference).enumerate() {
-                assert_eq!(
-                    got.responses.len(),
-                    want.responses.len(),
-                    "{backend} trial {trial}"
+        let tau_tol_s = 1e-13;
+        let mut ctx = DetectorContext::with_backend(DspBackend::RealFft);
+        let outcomes = detector.detect_batch(&mut ctx, &cirs, 2).unwrap();
+        for (trial, (got, want)) in outcomes.iter().zip(&reference).enumerate() {
+            assert_eq!(got.responses.len(), want.responses.len(), "trial {trial}");
+            for (a, b) in got.responses.iter().zip(&want.responses) {
+                let dt = (a.tau_s - b.tau_s).abs();
+                assert!(
+                    dt < tau_tol_s,
+                    "trial {trial}: ToA delta {dt} s exceeds {tau_tol_s}"
                 );
-                for (a, b) in got.responses.iter().zip(&want.responses) {
-                    let dt = (a.tau_s - b.tau_s).abs();
-                    assert!(
-                        dt < tau_tol_s,
-                        "{backend} trial {trial}: ToA delta {dt} s exceeds {tau_tol_s}"
-                    );
-                    assert_eq!(a.shape_index, b.shape_index, "{backend} trial {trial}");
-                }
+                assert_eq!(a.shape_index, b.shape_index, "trial {trial}");
             }
         }
     }

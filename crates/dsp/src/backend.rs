@@ -1,13 +1,14 @@
 //! Runtime-selectable DSP backends.
 //!
 //! Every hot kernel in the detection pipeline — upsampling, matched
-//! filtering, magnitude extraction — can run on one of three backends:
+//! filtering, magnitude extraction — runs on one of two backends: the
+//! bit-identical reference every golden compares against, and one fast
+//! path:
 //!
 //! | Backend | Label | Contract |
 //! |---------|-------|----------|
 //! | [`DspBackend::ScalarF64`] | `f64` | bit-identical to the historical scalar complex-f64 path; the default. A matched-filter bank transforms the signal once per transform length and multiplies by cached template spectra (the same transform a per-call convolution computes) |
 //! | [`DspBackend::RealFft`] | `rfft` | f64 precision, but real-input structure is exploited: real template spectra are built with the half-cost real FFT, the matched filter runs as overlap-save blocks, and magnitudes use `sqrt(norm_sqr)` instead of `hypot` |
-//! | [`DspBackend::F32`] | `f32` | the same kernel set in single precision; ~2⁻²⁴ relative rounding, far below the CIR noise floor of every paper scenario |
 //!
 //! The backend is a property of the [`crate::DspContext`]; detectors
 //! and experiment binaries pick it up via the `UWB_DSP_BACKEND`
@@ -30,14 +31,11 @@ pub enum DspBackend {
     /// spectra, overlap-save matched filtering and `sqrt(norm_sqr)`
     /// magnitudes.
     RealFft,
-    /// Single-precision kernels: f32 FFT/convolution/upsampling with
-    /// conversion at the `Complex64` API boundary.
-    F32,
 }
 
 impl DspBackend {
     /// Every backend, in documentation order.
-    pub const ALL: [DspBackend; 3] = [DspBackend::ScalarF64, DspBackend::RealFft, DspBackend::F32];
+    pub const ALL: [DspBackend; 2] = [DspBackend::ScalarF64, DspBackend::RealFft];
 
     /// The canonical label accepted by [`DspBackend::parse`] and the
     /// `UWB_DSP_BACKEND` knob.
@@ -46,7 +44,6 @@ impl DspBackend {
         match self {
             DspBackend::ScalarF64 => "f64",
             DspBackend::RealFft => "rfft",
-            DspBackend::F32 => "f32",
         }
     }
 
@@ -66,7 +63,7 @@ impl DspBackend {
     /// falls back to the default.
     #[must_use]
     pub fn from_env() -> DspBackend {
-        let labels: Vec<&str> = Self::ALL.iter().map(|b| b.label()).collect();
+        let labels = Self::ALL.map(DspBackend::label);
         let label =
             envknob::label_from_env(BACKEND_ENV_VAR, DspBackend::default().label(), &labels);
         Self::parse(label).unwrap_or_default()
@@ -94,8 +91,10 @@ mod tests {
     #[test]
     fn parse_is_forgiving_about_case_and_whitespace() {
         assert_eq!(DspBackend::parse(" RFFT "), Some(DspBackend::RealFft));
-        assert_eq!(DspBackend::parse("F32"), Some(DspBackend::F32));
+        assert_eq!(DspBackend::parse("F64"), Some(DspBackend::ScalarF64));
+        assert_eq!(DspBackend::parse("f32"), None);
         assert_eq!(DspBackend::parse("f16"), None);
+        assert_eq!(DspBackend::parse("avx512"), None);
         assert_eq!(DspBackend::parse(""), None);
     }
 

@@ -18,10 +18,10 @@
 //! - [`Kernels`] / [`DspBackend`]: the backend-generic kernel set — a
 //!   [`DspContext`] dispatches upsampling, matched filtering (single
 //!   filters and whole template banks) and batched correlation scoring
-//!   to the bit-identical scalar f64 kernels (default), the real-FFT
-//!   overlap-save path ([`DspBackend::RealFft`]), or the
-//!   single-precision set ([`DspBackend::F32`]). Every backend caches
-//!   the forward spectra of matched-filter templates. Selected via
+//!   to one of two backends: the bit-identical scalar f64 reference
+//!   (default) or the fast real-FFT overlap-save path
+//!   ([`DspBackend::RealFft`]). Both cache the forward spectra of
+//!   matched-filter templates. Selected via
 //!   [`DspContext::with_backend`] or the `UWB_DSP_BACKEND` environment
 //!   knob.
 //! - [`RealFftPlan`]: half-cost FFT for real input (pack-two-reals).
@@ -58,7 +58,6 @@ mod complex;
 mod convolution;
 mod error;
 mod fft;
-mod fp32;
 mod kernels;
 mod matched_filter;
 pub mod peaks;
@@ -76,7 +75,6 @@ pub use convolution::{
 };
 pub use error::DspError;
 pub use fft::{dft_reference, fft, ifft, next_power_of_two, Direction, FftPlan};
-pub use fp32::{BluesteinPlan32, Complex32, FftPlan32, Fp32Engine, Scratch32};
 pub use kernels::Kernels;
 pub use matched_filter::MatchedFilter;
 pub use peaks::{argmax, find_peaks, leading_edge, noise_floor, parabolic_interpolation, Peak};

@@ -43,7 +43,6 @@ use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::error::DspError;
 use crate::fft::FftPlan;
-use crate::fp32::{Complex32, Fp32Engine};
 use crate::real_fft::RealFftPlan;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -182,14 +181,13 @@ impl DspScratch {
 /// Build one per worker (contexts are cheap but not shared — each worker
 /// thread owns its own) and thread it through the `*_into` entry points.
 ///
-/// Since the multi-backend redesign a context also carries its
-/// [`DspBackend`] selection and the backend-specific state: f32 plans
-/// and scratch for [`DspBackend::F32`], and the forward spectra of
-/// matched-filter kernels for every backend's FFT path. The default
-/// remains [`DspBackend::ScalarF64`], whose kernels are bit-identical
-/// to the historical pipeline: its cached spectra come from the same
-/// radix-2 transform the per-call convolution runs, so caching changes
-/// how often a template is transformed, never the result.
+/// A context also carries its [`DspBackend`] selection and the forward
+/// spectra of matched-filter kernels for both backends' FFT paths. The
+/// default remains [`DspBackend::ScalarF64`], whose kernels are
+/// bit-identical to the historical pipeline: its cached spectra come
+/// from the same radix-2 transform the per-call convolution runs, so
+/// caching changes how often a template is transformed, never the
+/// result.
 #[derive(Debug, Default)]
 pub struct DspContext {
     /// Cached FFT plans.
@@ -198,10 +196,7 @@ pub struct DspContext {
     pub scratch: DspScratch,
     /// Which kernel set [`crate::Kernels`] calls dispatch to.
     backend: DspBackend,
-    /// Single-precision plans and scratch (populated only by the f32
-    /// backend).
-    pub(crate) fp32: Fp32Engine,
-    /// Cached f64 forward spectra of matched-filter kernels, keyed by
+    /// Cached forward spectra of matched-filter kernels, keyed by
     /// `(backend, kernel_id, transform_len)`. The backend is part of
     /// the key because the scalar and real-FFT paths build a template's
     /// spectrum through different transforms (equal only up to
@@ -209,8 +204,6 @@ pub struct DspContext {
     /// long as the context (one transform-length spectrum per template),
     /// so a context is meant to serve a fixed template bank.
     pub(crate) kernel_spectra: HashMap<(DspBackend, u64, usize), Arc<Vec<Complex64>>>,
-    /// Single-precision kernel spectra for the f32 backend.
-    pub(crate) kernel_spectra32: HashMap<(u64, usize), Arc<Vec<Complex32>>>,
 }
 
 impl DspContext {

@@ -53,7 +53,7 @@ pub fn quota_from_env(var: &str, default: u64) -> u64 {
 /// when `raw` matches none of them.
 ///
 /// Matching trims surrounding whitespace and ignores ASCII case, so
-/// `UWB_DSP_BACKEND=" F32 "` selects `f32`. Split from
+/// `UWB_DSP_BACKEND=" RFFT "` selects `rfft`. Split from
 /// [`label_from_env`] for the same reason as [`parse_quota`]: the
 /// policy is testable without mutating the process environment.
 #[must_use]
@@ -172,16 +172,16 @@ mod tests {
 
     #[test]
     fn labels_match_case_insensitively_with_whitespace() {
-        let allowed = ["f64", "rfft", "f32"];
+        let allowed = ["f64", "rfft"];
         assert_eq!(parse_label("K", "rfft", "f64", &allowed), "rfft");
-        assert_eq!(parse_label("K", " F32 ", "f64", &allowed), "f32");
+        assert_eq!(parse_label("K", " RFFT ", "f64", &allowed), "rfft");
         assert_eq!(parse_label("K", "F64", "f64", &allowed), "f64");
     }
 
     #[test]
     fn unrecognized_labels_fall_back_to_the_default() {
-        let allowed = ["f64", "rfft", "f32"];
-        for raw in ["", "f16", "real", "rfft32", "f 32"] {
+        let allowed = ["f64", "rfft"];
+        for raw in ["", "f16", "f32", "real", "rfft32", "f 32"] {
             assert_eq!(
                 parse_label("K", raw, "f64", &allowed),
                 "f64",

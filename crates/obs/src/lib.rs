@@ -38,7 +38,7 @@
 //!
 //! The crate sits below every pipeline crate and is deliberately
 //! offline-safe: no registry dependencies, same policy as the vendored
-//! `rand`/`proptest`/`criterion` stand-ins.
+//! `rand`/`proptest` stand-ins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,12 @@
 //! The fixed, named workload suite.
 //!
 //! Every workload exercises one stage of the pipeline the paper's
-//! numbers flow through — DSP kernels, the search-and-subtract
-//! detector, pulse-shape classification, RPM slot decoding, the
-//! streaming round pipeline, the Monte-Carlo campaign engine, the
-//! netsim TWR dispatch path, and the sharded worldsim capacity round. The
-//! set is *fixed* so `BENCH_pipeline.json` files from different
-//! commits compare workload-by-workload.
+//! numbers flow through — DSP kernels, CIR synthesis, the
+//! search-and-subtract detector, pulse-shape classification, RPM slot
+//! decoding, the streaming round pipeline, the Monte-Carlo campaign
+//! engine, the netsim TWR dispatch path, and the sharded worldsim
+//! capacity round. The set is *fixed* so `BENCH_pipeline.json` files
+//! from different commits compare workload-by-workload.
 //!
 //! Measurement protocol per workload: `warmup` untimed runs, one
 //! allocation-bracketed run (populated only under the `count-alloc`
@@ -33,12 +33,13 @@ use concurrent_ranging::detection::{
 use concurrent_ranging::{RangingPipeline, RoundContext, RoundProgram, SlotPlan};
 use repro_bench::Deployment;
 use std::sync::{Mutex, OnceLock};
+use uwb_channel::{Arrival, CirSynthesizer};
 use uwb_dsp::{
     BluesteinPlan, Complex64, DspBackend, DspContext, DspScratch, FftPlan, Kernels, MatchedFilter,
     RealFftPlan,
 };
 use uwb_obs::{measure_ns, median, median_abs_deviation, per_second, ProfileNode, Stopwatch};
-use uwb_radio::{Channel, Cir, PulseShape, RadioConfig, TcPgDelay, CIR_SAMPLE_PERIOD_S};
+use uwb_radio::{Channel, Cir, Prf, PulseShape, RadioConfig, TcPgDelay, CIR_SAMPLE_PERIOD_S};
 
 /// Deterministic seed shared by every synthetic workload input.
 const SUITE_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -296,6 +297,35 @@ fn build_workloads(threads: usize) -> Vec<Workload> {
     }
 
     {
+        // CIR synthesis: ten decaying arrivals 10 ns apart rendered into
+        // one reused accumulator with receiver noise, the per-round cost
+        // upstream of every detector. The RNG is re-seeded each
+        // iteration so every iteration draws the same noise.
+        let pulse = PulseShape::from_config(&RadioConfig::default());
+        let arrivals: Vec<Arrival> = (0..10usize)
+            .map(|i| Arrival {
+                delay_s: (50.0 + 10.0 * i as f64) * 1e-9,
+                amplitude: Complex64::from_polar(1.0 / (1 + i) as f64, i as f64),
+                pulse,
+            })
+            .collect();
+        let synth = CirSynthesizer::new(Prf::Mhz64).with_noise_sigma(1e-3);
+        let mut cir = Cir::zeroed(Prf::Mhz64);
+        workloads.push(Workload {
+            name: "channel.render_into",
+            layer: "channel",
+            units: "arrivals",
+            units_per_iter: arrivals.len() as f64,
+            default_iters: 200,
+            default_warmup: 10,
+            run: Box::new(move || {
+                synth.render_into(&mut cir, &arrivals, &mut suite_rng());
+                std::hint::black_box(&cir);
+            }),
+        });
+    }
+
+    {
         let detector = default_detector();
         let cir = single_response_cir();
         let mut ctx = DetectorContext::new();
@@ -332,15 +362,14 @@ fn build_workloads(threads: usize) -> Vec<Workload> {
     }
 
     {
-        // The same Fig. 7 stress case on the f32 backend: single-precision
-        // transforms plus cached kernel spectra, racing the f64 row above.
-        // The delta between the two rows is what the precision trade buys
-        // on the paper's headline workload.
+        // The same Fig. 7 stress case on the fast real-FFT backend:
+        // real-FFT kernel spectra plus overlap-save matched filtering,
+        // racing the bit-identical f64 reference row above.
         let detector = default_detector();
         let cir = fig7_overlap_cir();
-        let mut ctx = DetectorContext::with_backend(DspBackend::F32);
+        let mut ctx = DetectorContext::with_backend(DspBackend::RealFft);
         workloads.push(Workload {
-            name: "detect.search_subtract_fig7_f32",
+            name: "detect.search_subtract_fig7_rfft",
             layer: "detect",
             units: "trials",
             units_per_iter: 1.0,

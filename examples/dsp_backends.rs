@@ -1,14 +1,15 @@
-//! DSP backends: one detection workload, three kernel implementations.
+//! DSP backends: one detection workload, two kernel implementations.
 //!
 //! Run with `cargo run --release --example dsp_backends`.
 //!
 //! A batch of two-response CIRs (the paper's Fig. 7 overlap case) is
 //! pushed through `Detector::detect_batch` once per [`DspBackend`]:
-//! the bit-exact scalar f64 default, the real-input-FFT f64 path, and
-//! the single-precision f32 path. The table shows that every backend
-//! recovers the same arrival times to well under the ranging noise
-//! floor while the cheaper transforms cut the wall-clock cost — the
-//! same comparison the `perfwatch` suite gates in CI.
+//! the bit-exact scalar f64 reference and the fast real-input-FFT f64
+//! path. The table shows that both recover the same arrival times to
+//! well under the ranging noise floor while the cheaper transforms cut
+//! the wall-clock cost — the same comparison the `perfwatch` suite
+//! races as `detect.search_subtract_fig7` against
+//! `detect.search_subtract_fig7_rfft`.
 
 use concurrent_ranging::detection::{
     Detector, DetectorContext, SearchSubtractConfig, SearchSubtractDetector,
